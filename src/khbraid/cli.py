@@ -13,7 +13,7 @@ import os
 import sys
 
 from .arcalg import multiplication_table, verify_positivity
-from .homalg import BigradedGroup
+from .homalg import BigradedGroup, coefficient_characteristic
 from .linkinv import BraidWord, compute, verify_markov, verify_skein
 from .oracle import braid_to_pd, cube_homology, format_pd, parse_pd
 from .planar import parse_matching
@@ -35,8 +35,10 @@ def _braid_from_args(args) -> BraidWord:
 
 def _coeffs(args) -> str:
     c = args.coeffs or os.environ.get("KH_COEFFS") or "Z"
-    if c not in ("Z", "Q") and not (c.startswith("F") and c[1:].isdigit()):
-        raise InputError(f"bad coefficients {c!r} (use Z, Q, or Fp)")
+    try:
+        coefficient_characteristic(c)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     return c
 
 
@@ -49,10 +51,6 @@ def emit(record: dict, path: str | None) -> str:
     else:
         sys.stdout.write(text)
     return text
-
-
-def parse_result(text: str) -> dict:
-    return json.loads(text)
 
 
 def groups_table(groups: list[dict]) -> str:
@@ -190,16 +188,18 @@ def cmd_verify(args) -> int:
         b = _braid_from_args(args)
         if not b.letters:
             raise InputError("skein verification needs at least one crossing")
+        if args.crossing is not None and not 0 <= args.crossing < len(b.letters):
+            raise InputError(f"--crossing must lie in 0..{len(b.letters) - 1}")
         crossings = [args.crossing] if args.crossing is not None else range(len(b.letters))
         subs = [verify_skein(b, c) for c in crossings]
         report = {"word": b.format(), "crossings": subs, "ok": all(s["ok"] for s in subs)}
     elif kind == "braid-relations":
-        if args.n is None:
-            raise InputError("-n is required")
+        if args.n is None or args.n < 1:
+            raise InputError("-n is required and must be >= 1")
         report = verify_braid_relations(args.n)
     elif kind == "positivity":
-        if args.n is None:
-            raise InputError("-n is required")
+        if args.n is None or args.n < 1:
+            raise InputError("-n is required and must be >= 1")
         report = verify_positivity(args.n)
         tail = "PASS" if report["ok"] else "FAIL"
         print(f"all structure constants >= 0: {tail}")

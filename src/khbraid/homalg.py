@@ -11,15 +11,18 @@ Conventions, fixed once:
 * cone(f: C -> D) has terms C^{h+1} (+) D^h and differential
   [[-d_C, 0], [f, d_D]].
 
-Homology of the idempotent truncation is computed over Z by Smith normal
-form; rank-only modes over Q and F_p exist both for speed and as
-universal-coefficient cross-checks.
+Homology of the idempotent truncation has one kernel for every ring: each
+(h, j) block of the differential is reduced once by unimodular integer row
+and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
+and the torsion over Z are read off that one diagonal.  `rank_over_field`
+is an independent dense eliminator kept as the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .planar import Matching, circles
 from .arcalg import ArcCombination, multiply, idempotent
@@ -340,6 +343,7 @@ class FreeComplex:
     def __init__(self, basis: dict[int, list[int]], mats: dict[int, dict[tuple[int, int], int]]):
         self.basis = {h: list(b) for h, b in basis.items() if b}
         self.mats = {h: dict(m) for h, m in mats.items() if m}
+        self.check_d2()
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -394,9 +398,7 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
                     key = (row, col)
                     mat[key] = mat.get(key, 0) + coeff
         mats[h] = {k: v for k, v in mat.items() if v}
-    out = FreeComplex(basis, mats)
-    out.check_d2()
-    return out
+    return FreeComplex(basis, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +511,11 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
 
 
 def rank_over_field(entries: dict[tuple[int, int], int], p: int | None = None) -> int:
-    """Rank over Q (p None) or F_p by Gaussian elimination."""
+    """Rank over Q (p None) or F_p by dense Fraction / mod-p elimination.
+
+    Not on the homology path: the tests compare `homology` against it as an
+    independent reference.
+    """
     grouped: dict[int, dict[int, Fraction | int]] = {}
     for (r, c), v in entries.items():
         v = v % p if p is not None else Fraction(v)
@@ -599,68 +605,66 @@ class BigradedGroup:
         }
 
 
+def coefficient_characteristic(coefficients: str) -> int:
+    """0 for "Z" and "Q", p for "Fp" with p a prime below 2^31.
+
+    Raises ValueError for any other string.
+    """
+    if coefficients in ("Z", "Q"):
+        return 0
+    digits = coefficients[1:]
+    if coefficients.startswith("F") and digits.isdecimal() and digits[0] != "0":
+        p = int(digits)
+        if 2 <= p < 1 << 31 and all(p % k for k in range(2, isqrt(p) + 1)):
+            return p
+    raise ValueError(f"bad coefficients {coefficients!r} (use Z, Q, or Fp for a prime p < 2^31)")
+
+
 def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
     """Homology of a free complex, per (i, j).
 
-    coefficients: "Z" (ranks and torsion via Smith normal form), "Q", or
-    "Fp" for a prime p (ranks only).
+    coefficients: "Z" (ranks and torsion), "Q", or "Fp" for a prime p (ranks
+    only).  Each (h, j) block of the differential goes through
+    `smith_diagonal` once.  Its diagonal D gives the block's rank over Z and
+    Q as len(D), over F_p as the number of d in D with p not dividing d, and
+    the torsion over Z in degree h + 1 as the entries d > 1.
     """
-    T.check_d2()
-    p: int | None
-    if coefficients == "Z" or coefficients == "Q":
-        p = None
-    elif coefficients.startswith("F"):
-        p = int(coefficients[1:])
-        if p < 2:
-            raise ValueError(f"bad field {coefficients}")
-    else:
-        raise ValueError(f"unknown coefficients {coefficients!r}")
-
-    # split every degree by quantum grading
-    js = sorted({j for b in T.basis.values() for j in b})
-    by_hj: dict[tuple[int, int], list[int]] = {}
+    p = coefficient_characteristic(coefficients)
+    # each generator's index inside its (h, j) block, and the block sizes
+    index: dict[int, list[int]] = {}
+    dims: dict[tuple[int, int], int] = {}
     for h, b in T.basis.items():
-        for idx, j in enumerate(b):
-            by_hj.setdefault((h, j), []).append(idx)
+        idx = index[h] = []
+        for j in b:
+            k = dims.get((h, j), 0)
+            idx.append(k)
+            dims[(h, j)] = k + 1
 
-    def restrict(h: int, j: int) -> dict[tuple[int, int], int]:
-        mat = T.mats.get(h)
-        if not mat:
-            return {}
-        src = {g: k for k, g in enumerate(by_hj.get((h, j), []))}
-        tgt = {g: k for k, g in enumerate(by_hj.get((h + 1, j), []))}
-        out = {}
+    # the blocks of d_h, keyed by their source bidegree, in one pass
+    blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for h, mat in T.mats.items():
+        src, tgt = T.basis[h], T.basis.get(h + 1, [])
+        src_idx, tgt_idx = index[h], index.get(h + 1, [])
         for (r, c), v in mat.items():
-            if c in src:
-                if r not in tgt:
-                    raise ValueError("differential does not preserve quantum degree")
-                out[(tgt[r], src[c])] = v
-        return out
+            j = src[c]
+            if r >= len(tgt) or tgt[r] != j:
+                raise ValueError("differential does not preserve quantum degree")
+            blocks.setdefault((h, j), {})[(tgt_idx[r], src_idx[c])] = v
+
+    ranks: dict[tuple[int, int], int] = {}
+    torsion: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (h, j), block in blocks.items():
+        diag = smith_diagonal(block)
+        ranks[(h, j)] = sum(1 for d in diag if d % p) if p else len(diag)
+        if coefficients == "Z":
+            torsion[(h + 1, j)] = tuple(
+                sorted(q for d in diag if d > 1 for q in _prime_power_factors(d))
+            )
 
     result: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    hs = sorted(T.basis)
-    for h in hs:
-        for j in js:
-            dim = len(by_hj.get((h, j), []))
-            if dim == 0:
-                continue
-            d_out = restrict(h, j)
-            d_in = restrict(h - 1, j)
-            if coefficients == "Z":
-                diag_in = smith_diagonal(d_in)
-                r_in = len(diag_in)
-                r_out = len(smith_diagonal(d_out))
-                tors = []
-                for dd in diag_in:
-                    if dd > 1:
-                        tors.extend(_prime_power_factors(dd))
-                rank = dim - r_out - r_in
-                if rank or tors:
-                    result[(h, j)] = (rank, tuple(sorted(tors)))
-            else:
-                r_in = rank_over_field(d_in, p)
-                r_out = rank_over_field(d_out, p)
-                rank = dim - r_out - r_in
-                if rank:
-                    result[(h, j)] = (rank, ())
+    for (h, j), dim in sorted(dims.items()):
+        rank = dim - ranks.get((h, j), 0) - ranks.get((h - 1, j), 0)
+        tors = torsion.get((h, j), ())
+        if rank or tors:
+            result[(h, j)] = (rank, tors)
     return BigradedGroup(result)

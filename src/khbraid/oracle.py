@@ -353,62 +353,38 @@ def cube_complex(d: Diagram, sign_rule: str = "below") -> FreeComplex:
                 state = {mask: sign}
                 if len(changed_src) == 2:
                     ka, kb = changed_src
-                    (kt,) = changed_tgt
                     state = mask_merge(state, 1 << ka, 1 << kb, 1 << (n_src + 1))
-                    moved = {}
-                    for mm, cc in state.items():
-                        out = _repack(mm, src_circ, tgt_circ, d.free_loops, n_src + 1, kt)
-                        moved[out] = moved.get(out, 0) + cc
-                    state = moved
                 elif len(changed_src) == 1:
                     (ka,) = changed_src
-                    kt1, kt2 = changed_tgt
                     state = mask_split(state, 1 << ka, 1 << (n_src + 1), 1 << (n_src + 2))
-                    moved = {}
-                    for mm, cc in state.items():
-                        out = _repack2(mm, src_circ, tgt_circ, d.free_loops, n_src + 1, kt1, kt2)
-                        moved[out] = moved.get(out, 0) + cc
-                    state = moved
                 else:
                     raise AssertionError("crossing flip must change circles")
+                moved = {}
+                for mm, cc in state.items():
+                    out = _repack(mm, src_circ, tgt_circ, d.free_loops, n_src + 1, changed_tgt)
+                    moved[out] = moved.get(out, 0) + cc
+                state = moved
                 col = offset[v] + mask
                 for mm, cc in state.items():
                     row = offset[w] + mm
                     key = (row, col)
                     mat[key] = mat.get(key, 0) + cc
-    out = FreeComplex(basis, {h: {k: x for k, x in mm.items() if x} for h, mm in mats.items()})
-    out.check_d2()
-    return out
+    return FreeComplex(basis, {h: {k: x for k, x in mm.items() if x} for h, mm in mats.items()})
 
 
-def _repack(mask: int, src_circ, tgt_circ, free: int, tmp_bit: int, kt: int) -> int:
-    """Move labels from source circle order to target order after a merge."""
+def _repack(mask: int, src_circ, tgt_circ, free: int, tmp_bit: int, changed_tgt) -> int:
+    """Move labels from source circle order to target order after a merge
+    or split: bit tmp_bit + k carries the label of target circle
+    changed_tgt[k]."""
     out = 0
     tgt_index = {circ: k for k, circ in enumerate(tgt_circ)}
     for k, circ in enumerate(src_circ):
         if circ in tgt_index and mask >> k & 1:
             out |= 1 << tgt_index[circ]
-    if mask >> tmp_bit & 1:
-        out |= 1 << kt
+    for k, kt in enumerate(changed_tgt):
+        if mask >> (tmp_bit + k) & 1:
+            out |= 1 << kt
     # free loops occupy the top bits, in both source and target
-    n_src_real = len(src_circ)
-    n_tgt_real = len(tgt_circ)
-    for f in range(free):
-        if mask >> (n_src_real + f) & 1:
-            out |= 1 << (n_tgt_real + f)
-    return out
-
-
-def _repack2(mask: int, src_circ, tgt_circ, free: int, tmp_bit: int, kt1: int, kt2: int) -> int:
-    out = 0
-    tgt_index = {circ: k for k, circ in enumerate(tgt_circ)}
-    for k, circ in enumerate(src_circ):
-        if circ in tgt_index and mask >> k & 1:
-            out |= 1 << tgt_index[circ]
-    if mask >> tmp_bit & 1:
-        out |= 1 << kt1
-    if mask >> (tmp_bit + 1) & 1:
-        out |= 1 << kt2
     n_src_real = len(src_circ)
     n_tgt_real = len(tgt_circ)
     for f in range(free):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from khbraid.cli import build_parser, emit, groups_table, main, parse_result
+from khbraid.cli import build_parser, emit, groups_table, main
 
 
 def run(capsys, *argv):
@@ -14,7 +14,7 @@ def run(capsys, *argv):
 def test_compute_unknot_golden(capsys):
     rc, out, _ = run(capsys, "compute", "--braid", "n=1")
     assert rc == 0
-    rec = parse_result(out)
+    rec = json.loads(out)
     assert rec == {
         "collapsed": [
             {"k": -1, "rank": 1, "torsion": []},
@@ -51,10 +51,10 @@ def test_round_trip_parse_emit(capsys):
     ]
     for argv in commands:
         _rc, out, _ = run(capsys, *argv)
-        rec = parse_result(out)
+        rec = json.loads(out)
         text = emit(rec, None)
         capsys.readouterr()  # drain the re-emitted copy
-        assert parse_result(text) == rec
+        assert json.loads(text) == rec
 
 
 def test_diff_table_reports_per_bidegree():
@@ -77,14 +77,14 @@ def test_diff_table_reports_per_bidegree():
 def test_compare_matching_link(capsys):
     rc, out, _ = run(capsys, "compare", "--braid", "1 -2 1 -2", "-n", "3")
     assert rc == 0
-    assert parse_result(out)["equal"] is True
+    assert json.loads(out)["equal"] is True
 
 
 def test_compare_exit_codes_and_coeffs(capsys, monkeypatch):
     monkeypatch.setenv("KH_COEFFS", "F2")
     rc, out, _ = run(capsys, "compare", "--braid", "1 1", "-n", "2")
     assert rc == 0
-    assert parse_result(out)["coefficients"] == "F2"
+    assert json.loads(out)["coefficients"] == "F2"
 
 
 def test_compute_table_mode(capsys):
@@ -96,23 +96,23 @@ def test_compute_table_mode(capsys):
 def test_oracle_subcommand_braid_and_pd(tmp_path, capsys):
     rc, out, _ = run(capsys, "oracle", "--braid", "1 1 1", "-n", "2")
     assert rc == 0
-    rec = parse_result(out)
+    rec = json.loads(out)
     assert rec["n_plus"] == 3 and rec["n_minus"] == 0
     pd_file = tmp_path / "trefoil.pd"
     pd_file.write_text("\n".join(rec["pd"]) + "\n")
     rc, out2, _ = run(capsys, "oracle", "--pd", str(pd_file))
     assert rc == 0
-    assert parse_result(out2)["groups"] == rec["groups"]
+    assert json.loads(out2)["groups"] == rec["groups"]
 
 
 def test_arc_dump(capsys):
     rc, out, _ = run(capsys, "arc-dump", "-n", "2")
     assert rc == 0
-    rec = parse_result(out)
+    rec = json.loads(out)
     assert rec["dim"] == 12 and len(rec["products"]) == 72
     rc, out, _ = run(capsys, "arc-dump", "-n", "2", "--source", "(1 2)(3 4)", "--target", "(1 2)(3 4)")
     assert rc == 0
-    rec = parse_result(out)
+    rec = json.loads(out)
     assert all(p["right"]["source"] == "(1 2)(3 4)" for p in rec["products"])
     assert all(p["left"]["target"] == "(1 2)(3 4)" for p in rec["products"])
 
@@ -121,9 +121,9 @@ def test_verify_subcommands(capsys):
     rc, out, _ = run(capsys, "verify", "positivity", "-n", "2")
     assert rc == 0 and "PASS" in out
     rc, out, _ = run(capsys, "verify", "markov", "--braid", "1", "-n", "2")
-    assert rc == 0 and parse_result(out)["ok"] is True
+    assert rc == 0 and json.loads(out)["ok"] is True
     rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")
-    assert rc == 0 and parse_result(out)["ok"] is True
+    assert rc == 0 and json.loads(out)["ok"] is True
     rc, out, _ = run(capsys, "verify", "braid-relations", "-n", "1")
     assert rc == 0
 
@@ -137,13 +137,22 @@ def test_input_errors_exit_2(capsys):
     assert rc == 2
     rc, _out, err = run(capsys, "arc-dump", "-n", "9")
     assert rc == 2
+    # F_p needs p prime; the input contract holds for verify as well
+    for argv in (
+        *(("compute", "--braid", "1", "-n", "2", "--coeffs", c) for c in ("F4", "F9", "F1", "F00")),
+        ("verify", "skein", "--braid", "1 1", "-n", "2", "--crossing", "5"),
+        ("verify", "braid-relations", "-n", "0"),
+        ("verify", "positivity", "-n", "0"),
+    ):
+        rc, _out, err = run(capsys, *argv)
+        assert rc == 2 and "error:" in err, argv
 
 
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "res.json"
     rc, _o, _e = run(capsys, "compute", "--braid", "1", "-n", "2", "-o", str(out_path))
     assert rc == 0
-    assert parse_result(out_path.read_text())["link"] == "n=2 1"
+    assert json.loads(out_path.read_text())["link"] == "n=2 1"
 
 
 def test_groups_table_rendering():

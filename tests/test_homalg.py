@@ -18,6 +18,8 @@ from khbraid.homalg import (
     rank_over_field,
     smith_diagonal,
 )
+from khbraid.linkinv import BraidWord
+from khbraid.oracle import braid_to_pd, cube_complex
 from khbraid.planar import circles, enumerate_matchings, mixed, plait
 from khbraid.tangle import counit_map, twist
 
@@ -92,12 +94,11 @@ def test_homology_plain_groups():
 
 
 def test_homology_rejects_bad_differential():
-    T = FreeComplex({0: [0], 1: [0], 2: [0]}, {0: {(0, 0): 1}, 1: {(0, 0): 1}})
     with pytest.raises(ValueError):
-        T.check_d2()
+        FreeComplex({0: [0], 1: [0], 2: [0]}, {0: {(0, 0): 1}, 1: {(0, 0): 1}})
 
 
-def test_universal_coefficients_ranks():
+def _universal_coefficient_cases():
     rng = random.Random(5)
     for _ in range(40):
         dims = [rng.randint(1, 4) for _ in range(3)]
@@ -109,7 +110,31 @@ def test_universal_coefficients_ranks():
             if rng.random() < 0.7
         }
         # force d1 . d0 = 0 by taking d1 = 0
-        T = FreeComplex(basis, {0: {k: v for k, v in d0.items() if v}})
+        yield FreeComplex(basis, {0: {k: v for k, v in d0.items() if v}})
+    # cube complexes: several quantum degrees, consecutive nonzero
+    # differentials, and torsion
+    rng = random.Random(12)
+    for _ in range(5):
+        word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(3, 5))]
+        yield cube_complex(braid_to_pd(BraidWord.from_ints(3, word)))
+
+
+def _dense_field_ranks(T, p):
+    """dim - rank(d_in) - rank(d_out) per (h, j) block, by `rank_over_field`."""
+    def block(h, j):
+        return {(r, c): v for (r, c), v in T.mats.get(h, {}).items() if T.basis[h][c] == j}
+
+    ranks = {}
+    for h, b in T.basis.items():
+        for j in set(b):
+            ranks[(h, j)] = (
+                b.count(j) - rank_over_field(block(h, j), p) - rank_over_field(block(h - 1, j), p)
+            )
+    return {k: r for k, r in ranks.items() if r}
+
+
+def test_universal_coefficients_ranks():
+    for T in _universal_coefficient_cases():
         HZ = homology(T, "Z")
         HQ = homology(T, "Q")
         for (h, j), (r, _t) in HQ.entries.items():
@@ -122,6 +147,9 @@ def test_universal_coefficients_ranks():
                 [t for t in t_up if t % 2 == 0]
             )
             assert r2 == expect
+        for c, p in (("Q", None), ("F2", 2), ("F3", 3)):
+            H = homology(T, c)
+            assert {k: r for k, (r, _t) in H.entries.items()} == _dense_field_ranks(T, p)
 
 
 # ---------------------------------------------------------------------------
