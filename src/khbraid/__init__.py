@@ -1,21 +1,19 @@
 """Khovanov homology of braid closures, two independent ways.
 
 ``linkinv.compute`` runs the arc-algebra pipeline (projective complexes,
-cup/cap functors, twist mapping cones); ``oracle.cube_homology`` runs the
-classical cube of resolutions.  Both return bigraded integer homology and
-must agree -- that cross-check is the point of the package.
+the cup/cap endofunctor, twist mapping cones); ``oracle.cube_homology``
+runs the classical cube of resolutions.  Both return bigraded integer
+homology and must agree -- that cross-check is the point of the package.
 """
 
 from .planar import (
     Matching,
     CircleDiagram,
-    OrientedArc,
     enumerate_matchings,
     circles,
     codim,
     cup_insert,
     cap_apply,
-    depth_orientation,
     interpolate,
     matching,
     plait,
@@ -25,20 +23,20 @@ from .planar import (
 from .tqft import Label, merge, split, qdeg
 from .arcalg import ArcElement, ArcCombination, multiply, dim_hn, center_action, trace, min_generator, idempotent
 from .homalg import ProjSummand, ModuleMap, Complex, BigradedGroup, cone, idempotent_truncate, homology
-from .tangle import cup_functor, cap_functor, unit_map, counit_map, twist
-from .linkinv import BraidWord, InvariantResult, compute, jones, verify_markov, verify_skein
+from .tangle import cupcap_functor, unit_map, counit_map, twist
+from .linkinv import BraidWord, InvariantResult, compute, verify_markov, verify_skein
 from .oracle import Diagram, braid_to_pd, parse_pd, cube_homology
 
 __all__ = [
-    "Matching", "CircleDiagram", "OrientedArc", "enumerate_matchings", "circles",
-    "codim", "cup_insert", "cap_apply", "depth_orientation", "interpolate",
+    "Matching", "CircleDiagram", "enumerate_matchings", "circles",
+    "codim", "cup_insert", "cap_apply", "interpolate",
     "matching", "plait", "mixed", "horseshoe",
     "Label", "merge", "split", "qdeg",
     "ArcElement", "ArcCombination", "multiply", "dim_hn", "center_action",
     "trace", "min_generator", "idempotent",
     "ProjSummand", "ModuleMap", "Complex", "BigradedGroup", "cone",
     "idempotent_truncate", "homology",
-    "cup_functor", "cap_functor", "unit_map", "counit_map", "twist",
-    "BraidWord", "InvariantResult", "compute", "jones", "verify_markov", "verify_skein",
+    "cupcap_functor", "unit_map", "counit_map", "twist",
+    "BraidWord", "InvariantResult", "compute", "verify_markov", "verify_skein",
     "Diagram", "braid_to_pd", "parse_pd", "cube_homology",
 ]

@@ -280,15 +280,8 @@ def multiply(b: ArcCombination, a: ArcCombination, order: tuple | None = None) -
 # center action, trace, dimensions
 
 
-@dataclass(frozen=True)
-class CenterGenerator:
-    """v_i: multiplies by x the label of the circle through point i."""
-
-    index: int
-
-
-def center_action(v: CenterGenerator | int, a: ArcCombination) -> ArcCombination:
-    i = v.index if isinstance(v, CenterGenerator) else v
+def center_action(i: int, a: ArcCombination) -> ArcCombination:
+    """v_i a: multiplies by x the label of the circle through point i."""
     k = circles(a.source, a.target).circle_of(i)
     bit = 1 << k
     terms: dict[int, int] = {}
@@ -297,14 +290,6 @@ def center_action(v: CenterGenerator | int, a: ArcCombination) -> ArcCombination
             continue  # x * x = 0
         terms[m | bit] = terms.get(m | bit, 0) + c
     return ArcCombination(a.source, a.target, terms)
-
-
-def central_element(i: int, n: int) -> dict[Matching, ArcCombination]:
-    """The center element v_i of H_n, one diagonal component per matching."""
-    out = {}
-    for w in enumerate_matchings(n):
-        out[w] = center_action(i, idempotent(w))
-    return out
 
 
 def trace(a: ArcCombination) -> int:
@@ -323,11 +308,6 @@ def dim_hn(n: int) -> int:
 def block_basis(source: Matching, target: Matching) -> list[ArcElement]:
     c = circles(source, target).c
     return [ArcElement(source, target, m) for m in range(1 << c)]
-
-
-def unit_element(n: int) -> dict[Matching, ArcCombination]:
-    """The two-sided identity, as its diagonal components."""
-    return {w: idempotent(w) for w in enumerate_matchings(n)}
 
 
 def factor_through_interpolation(w0: Matching, wk: Matching) -> ArcCombination:

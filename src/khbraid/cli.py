@@ -93,6 +93,7 @@ def cmd_oracle(args) -> int:
         try:
             text = sys.stdin.read() if args.pd == "-" else open(args.pd).read()
             diagram = parse_pd(text)
+            H = cube_homology(diagram, coeffs)  # rejects a non-planar code
         except (OSError, ValueError) as e:
             raise InputError(str(e)) from e
         link = "pd"
@@ -100,7 +101,7 @@ def cmd_oracle(args) -> int:
         b = _braid_from_args(args)
         diagram = braid_to_pd(b)
         link = b.format()
-    H = cube_homology(diagram, coeffs)
+        H = cube_homology(diagram, coeffs)
     record = {
         "link": link,
         "pd": format_pd(diagram).strip().split("\n") if diagram.crossings or diagram.free_loops else [],
@@ -152,6 +153,16 @@ def _diff_table(a: BigradedGroup, b: BigradedGroup) -> list[dict]:
     return out
 
 
+def _matching_of_size(text: str | None, n: int) -> str | None:
+    """The notation of a matching of n arcs, or None for no restriction."""
+    if not text:
+        return None
+    w = parse_matching(text)
+    if w.n != n:
+        raise ValueError(f"matching {text!r} has {w.n} arcs, not -n {n}")
+    return str(w)
+
+
 def cmd_arc_dump(args) -> int:
     if args.n is None or args.n < 1:
         raise InputError("-n is required and must be >= 1")
@@ -161,8 +172,7 @@ def cmd_arc_dump(args) -> int:
     if args.source or args.target:
         # restrict to products landing in the block (source, target)
         try:
-            src = str(parse_matching(args.source)) if args.source else None
-            tgt = str(parse_matching(args.target)) if args.target else None
+            src, tgt = (_matching_of_size(text, args.n) for text in (args.source, args.target))
         except ValueError as e:
             raise InputError(str(e)) from e
         table["blocks"] = [

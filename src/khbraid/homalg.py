@@ -172,15 +172,6 @@ class Complex:
         }
         return Complex(terms, diffs, check=False)
 
-    def shift_h(self, k: int, flip_sign: bool = True) -> "Complex":
-        """C[k]: degree h term becomes degree h-k; odd k flips d's sign."""
-        terms = {h - k: t for h, t in self.terms.items()}
-        sign = -1 if (k % 2 == 1 and flip_sign) else 1
-        diffs = {}
-        for h, d in self.diffs.items():
-            diffs[h - k] = ModuleMap(d.source, d.target, {rc: sign * g for rc, g in d.entries.items()})
-        return Complex(terms, diffs, check=False)
-
     @classmethod
     def single(cls, w: Matching, qshift: int = 0, degree: int = 0) -> "Complex":
         return cls({degree: (ProjSummand(w, qshift),)}, {}, check=False)
@@ -206,14 +197,14 @@ def is_chain_map(f: dict[int, ModuleMap], C: Complex, D: Complex) -> bool:
     return True
 
 
-def cone(f: dict[int, ModuleMap], C: Complex, D: Complex, check: bool = True) -> "Complex":
+def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
     """Mapping cone of a degree-0 chain map f: C -> D.
 
-    Terms C^{h+1} (+) D^h, differential [[-d_C, 0], [f, d_D]].  Rejects
-    non-chain-map input.
+    Terms C^{h+1} (+) D^h, differential [[-d_C, 0], [f, d_D]].  The only
+    off-diagonal block of its square is f d_C - d_D f, so the d^2 check of
+    the cone (ValueError) rejects an f that is not a chain map; the same
+    check rejects an f that is not quantum-degree 0.
     """
-    if check and not is_chain_map(f, C, D):
-        raise ValueError("cone: f is not a chain map")
     degrees = set()
     for h in C.terms:
         degrees.add(h - 1)
@@ -235,8 +226,7 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex, check: bool = True) ->
             entries[(len(C.summands(h + 2)) + r, nc + c)] = g
         dm = ModuleMap(terms[h], terms[h + 1], entries)
         diffs[h] = dm
-    out = Complex(terms, diffs, check=check)
-    return out
+    return Complex(terms, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +567,6 @@ class BigradedGroup:
 
     def total_rank(self) -> int:
         return sum(r for r, _t in self.entries.values())
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
 
     def shifted(self, di: int, dj: int) -> "BigradedGroup":
         return BigradedGroup({(i + di, j + dj): v for (i, j), v in self.entries.items()})

@@ -144,13 +144,12 @@ class InvariantResult:
         }
 
 
-def braid_complex(b: BraidWord, reduce: bool = True) -> Complex:
-    """The twisted projective complex of the word, before truncation."""
+def braid_complex(b: BraidWord) -> Complex:
+    """The twisted projective complex of the word, reduced after every
+    letter, before truncation."""
     C = Complex.single(horseshoe(b.strands))
     for idx, sign in b.letters:
-        C = twist(idx, sign, C)
-        if reduce:
-            C = eliminate(C)
+        C = eliminate(twist(idx, sign, C))
     return C
 
 
@@ -161,23 +160,18 @@ def _graded_homology(b: BraidWord, C: Complex, coefficients: str) -> BigradedGro
                        b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
 
 
-def compute(b: BraidWord, coefficients: str = "Z", reduce: bool = True) -> InvariantResult:
+def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     """Khovanov homology of the closure of b, exact over Z by default.
 
     coefficients: "Z", "Q", or "Fp" (e.g. "F2").
     """
-    bigraded = _graded_homology(b, braid_complex(b, reduce=reduce), coefficients)
+    bigraded = _graded_homology(b, braid_complex(b), coefficients)
     shifts = {
         "homological": b.positives,
         "quantum": b.writhe,
         "collapsed_nw": b.strands + b.writhe,
     }
     return InvariantResult(b, coefficients, bigraded, shifts)
-
-
-def jones(b: BraidWord) -> list[tuple[int, int]]:
-    """Jones polynomial (graded Euler characteristic), as (q-power, coeff)."""
-    return compute(b, "Q").jones_polynomial()
 
 
 # ---------------------------------------------------------------------------

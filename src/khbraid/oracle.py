@@ -58,6 +58,23 @@ class Diagram:
 
 
 # ---------------------------------------------------------------------------
+# union-find over a parent dict (absent keys are their own roots)
+
+
+def _find(parent: dict, x):
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict, x, y) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+
+
+# ---------------------------------------------------------------------------
 # braid closures to diagrams
 
 
@@ -70,23 +87,16 @@ def _closure_edges(strands: int, letters) -> dict[tuple[int, int], int]:
     """
     m = len(letters)
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     for r, (i, _s) in enumerate(letters):
         up = (r + 1) % m
         for pos in range(1, strands + 1):
             if pos not in (i, i + 1):
-                parent[find((r, pos))] = find((up, pos))
+                _union(parent, (r, pos), (up, pos))
     ids: dict[tuple[int, int], int] = {}
     reps: dict[tuple[int, int], int] = {}
     for r in range(m):
         for pos in range(1, strands + 1):
-            rep = find((r, pos))
+            rep = _find(parent, (r, pos))
             if rep not in reps:
                 reps[rep] = len(reps) + 1
             ids[(r, pos)] = reps[rep]
@@ -135,18 +145,6 @@ def braid_to_pd_resolved(b, c: int) -> tuple[Diagram, int]:
     ids = _closure_edges(b.strands, letters)
 
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     ic = letters[c][0]
     for r, (i, _s) in enumerate(letters):
         up = (r + 1) % m
@@ -154,12 +152,12 @@ def braid_to_pd_resolved(b, c: int) -> tuple[Diagram, int]:
             if r == c and pos in (i, i + 1):
                 continue
             if pos == i and r != c:
-                union(ids[(r, i)], ids[(up, i + 1)])
+                _union(parent, ids[(r, i)], ids[(up, i + 1)])
             elif pos == i + 1 and r != c:
-                union(ids[(r, i + 1)], ids[(up, i)])
+                _union(parent, ids[(r, i + 1)], ids[(up, i)])
             elif pos not in (i, i + 1):
-                union(ids[(r, pos)], ids[(up, pos)])
-    arc = find(ids[((c + 1) % m, ic)])  # component of the top-left corner
+                _union(parent, ids[(r, pos)], ids[(up, pos)])
+    arc = _find(parent, ids[((c + 1) % m, ic)])  # component of the top-left corner
 
     v = 0
     new_crossings = []
@@ -167,7 +165,7 @@ def braid_to_pd_resolved(b, c: int) -> tuple[Diagram, int]:
         if r == c:
             continue
         lo1, lo2 = ids[(r, i)], ids[(r, i + 1)]
-        on_arc = (find(lo1) == arc, find(lo2) == arc)
+        on_arc = (_find(parent, lo1) == arc, _find(parent, lo2) == arc)
         sign = s
         if on_arc[0] != on_arc[1]:
             v += s
@@ -280,33 +278,21 @@ def parse_pd(text: str) -> Diagram:
 def _vertex_circles(d: Diagram, vertex: int) -> list[frozenset[int]]:
     """Circles of the complete smoothing chosen by the bits of ``vertex``."""
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for t, x in enumerate(d.crossings):
         for e1, e2 in x.smoothing(vertex >> t & 1):
-            union(e1, e2)
+            _union(parent, e1, e2)
     comps: dict[int, set[int]] = {}
     for e in d.edge_labels():
-        comps.setdefault(find(e), set()).add(e)
+        comps.setdefault(_find(parent, e), set()).add(e)
     return sorted((frozenset(s) for s in comps.values()), key=min)
 
 
-def cube_complex(d: Diagram, sign_rule: str = "below") -> FreeComplex:
+def cube_complex(d: Diagram) -> FreeComplex:
     """The Khovanov complex of the diagram as a free bigraded complex.
 
-    sign_rule "below" is the standard edge sign (-1)^{set bits below the
-    flipped coordinate}; "above" is an alternative consistent rule that
-    yields isomorphic homology (a tested property).
+    Edge signs are (-1)^{set bits below the flipped coordinate}.  Raises
+    ValueError when flipping a crossing neither merges two circles nor
+    splits one, which no planar diagram allows.
     """
     d.validate()
     m = len(d.crossings)
@@ -337,28 +323,24 @@ def cube_complex(d: Diagram, sign_rule: str = "below") -> FreeComplex:
             if v >> t & 1:
                 continue
             w = v | 1 << t
-            if sign_rule == "below":
-                sign = -1 if bin(v & ((1 << t) - 1)).count("1") % 2 else 1
-            elif sign_rule == "above":
-                sign = -1 if bin(v >> (t + 1)).count("1") % 2 else 1
-            else:
-                raise ValueError(f"unknown sign rule {sign_rule!r}")
+            sign = -1 if bin(v & ((1 << t) - 1)).count("1") % 2 else 1
             tgt_circ = circles_at[w]
             # unchanged circles correspond by equality of edge sets
             tgt_pos = {circ: k for k, circ in enumerate(tgt_circ)}
             changed_src = [k for k, circ in enumerate(src_circ) if circ not in tgt_pos]
             changed_tgt = [k for k, circ in enumerate(tgt_circ) if circ not in set(src_circ)]
+            if (len(changed_src), len(changed_tgt)) not in ((2, 1), (1, 2)):
+                raise ValueError(f"crossing {t} {d.crossings[t].edges} neither merges nor "
+                                 "splits circles: the diagram is not planar")
             mat = mats.setdefault(h, {})
             for mask in range(1 << n_src):
                 state = {mask: sign}
                 if len(changed_src) == 2:
                     ka, kb = changed_src
                     state = mask_merge(state, 1 << ka, 1 << kb, 1 << (n_src + 1))
-                elif len(changed_src) == 1:
+                else:
                     (ka,) = changed_src
                     state = mask_split(state, 1 << ka, 1 << (n_src + 1), 1 << (n_src + 2))
-                else:
-                    raise AssertionError("crossing flip must change circles")
                 moved = {}
                 for mm, cc in state.items():
                     out = _repack(mm, src_circ, tgt_circ, d.free_loops, n_src + 1, changed_tgt)
@@ -393,6 +375,6 @@ def _repack(mask: int, src_circ, tgt_circ, free: int, tmp_bit: int, changed_tgt)
     return out
 
 
-def cube_homology(d: Diagram, coefficients: str = "Z", sign_rule: str = "below") -> BigradedGroup:
+def cube_homology(d: Diagram, coefficients: str = "Z") -> BigradedGroup:
     """Bigraded Khovanov homology from the cube of resolutions."""
-    return homology(cube_complex(d, sign_rule), coefficients)
+    return homology(cube_complex(d), coefficients)

@@ -218,33 +218,6 @@ def cupcap_through(i: int, w: Matching) -> tuple[Matching, int]:
 
 
 # ---------------------------------------------------------------------------
-# depth orientation
-
-
-@dataclass(frozen=True)
-class OrientedArc:
-    arc: tuple[int, int]
-    depth: int
-    orientation: int  # endpoint the arc points toward (always the even one)
-
-    @property
-    def clockwise(self) -> bool:
-        # pointing toward the right endpoint means running clockwise in the
-        # upper half-plane
-        return self.orientation == max(self.arc)
-
-
-def depth_orientation(w: Matching) -> list[OrientedArc]:
-    """Annotate each arc with its nesting depth and even-endpoint orientation."""
-    out = []
-    for a, b in w.pairs:
-        depth = sum(1 for c, d in w.pairs if c < a and b < d)
-        even = a if a % 2 == 0 else b
-        out.append(OrientedArc((a, b), depth, even))
-    return sorted(out, key=lambda o: o.arc)
-
-
-# ---------------------------------------------------------------------------
 # interpolation
 
 

@@ -1,4 +1,4 @@
-"""Cup, cap and twist functors on complexes of projectives.
+"""The cup∘cap endofunctor and twists on complexes of projectives.
 
 The twist attached to a braid letter is a mapping cone on the unit or
 counit of the cup/cap adjunction:
@@ -12,7 +12,8 @@ P_a{-1} when it does (the closed circle becomes a V factor, labels 1, x).
 Morphisms transform by a single saddle surgery at (i, i+1) on their circle
 diagrams; closed-circle labels on the source side select the summand by the
 Frobenius pairing (label x feeds the 1-summand and vice versa), on the
-target side directly.
+target side directly.  The result is re-embedded by the cup at (i, i+1),
+a strict algebra embedding with the new circle labeled 1.
 
 Unit and counit act on a cup-containing summand by the identity into/out of
 the x-labeled summand and by multiplication with the degree-2 center
@@ -25,13 +26,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .planar import Matching, circles, cap_apply, cup_insert, cupcap_through
+from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through, enumerate_matchings
 from .arcalg import ArcCombination, idempotent
 from .homalg import Complex, ModuleMap, ProjSummand, cone, is_chain_map
+from .homalg import eliminate, homology, idempotent_truncate
+from .tqft import mask_merge, mask_split
 
 
 # ---------------------------------------------------------------------------
-# cup functor
+# cup embedding
 
 
 @lru_cache(maxsize=None)
@@ -57,21 +60,6 @@ def _cup_entry(i: int, g: ArcCombination) -> ArcCombination:
                 mm |= 1 << kk
         terms[mm] = terms.get(mm, 0) + c
     return ArcCombination(cup_insert(i, g.source), cup_insert(i, g.target), terms)
-
-
-def cup_functor(i: int, C: Complex) -> Complex:
-    """P_w{q} -> P_{cup_insert(i,w)}{q}; morphisms embed with the new circle
-    labeled 1.  A strict functor: composition is preserved exactly."""
-    terms = {
-        h: tuple(ProjSummand(cup_insert(i, s.matching), s.qshift) for s in t)
-        for h, t in C.terms.items()
-    }
-    diffs = {}
-    for h, d in C.diffs.items():
-        diffs[h] = ModuleMap(
-            terms[h], terms[h + 1], {rc: _cup_entry(i, g) for rc, g in d.entries.items()}
-        )
-    return Complex(terms, diffs, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +153,6 @@ def _saddle_terms(a: Matching, b: Matching, i: int, g: ArcCombination):
     """
     op, capped_slots, closed_a, closed_b = _saddle_schedule(a, b, i)
     state = dict(g.terms)
-    from .tqft import mask_merge, mask_split
-
     if op[0] == "m":
         state = mask_merge(state, 1 << op[1], 1 << op[2], 1 << op[3])
     else:
@@ -182,128 +168,67 @@ def _saddle_terms(a: Matching, b: Matching, i: int, g: ArcCombination):
 
 
 # ---------------------------------------------------------------------------
-# cap functor
-
-
-def _cap_summands(i: int, s: ProjSummand) -> list[tuple[ProjSummand, int | None]]:
-    """Image summands of P_w{t} under cap_i, tagged by the V label bit
-    (None: no circle closed; 0: label 1, shift +1; 1: label x, shift -1)."""
-    down, closed = cap_apply(i, s.matching)
-    if not closed:
-        return [(ProjSummand(down, s.qshift), None)]
-    return [
-        (ProjSummand(down, s.qshift + 1), 0),
-        (ProjSummand(down, s.qshift - 1), 1),
-    ]
+# the cup_i cap_i endofunctor
 
 
 def _transformed_components(
-    i: int, a: Matching, b: Matching, g: ArcCombination, recup: bool
+    i: int, a: Matching, b: Matching, g: ArcCombination
 ) -> dict[tuple[int | None, int | None], ArcCombination]:
     """Saddle transform of g, split into (source label, target label) parts.
 
     The source circle label p addresses the summand with the complementary
     label (Frobenius pairing), so components are keyed by u = 1 - p there;
-    the target label keys directly.  With ``recup`` the entries are
-    re-embedded into blocks over the resurgered matchings with the new
-    (i,i+1) circle labeled 1.
+    the target label keys directly.  The entries are re-embedded into
+    blocks over the resurgered matchings with the new (i,i+1) circle
+    labeled 1.
     """
     a_down, _ = cap_apply(i, a)
     b_down, _ = cap_apply(i, b)
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
     for big, p, q, coeff in _saddle_terms(a, b, i, g):
         u = (1 - p) if p is not None else None
-        key = (u, q)
-        d = comps.setdefault(key, {})
+        d = comps.setdefault((u, q), {})
         d[big] = d.get(big, 0) + coeff
     out = {}
     for key, terms in comps.items():
-        gg = ArcCombination(a_down, b_down, terms)
-        if recup:
-            gg = _cup_entry(i, gg)
+        gg = _cup_entry(i, ArcCombination(a_down, b_down, terms))
         if gg:
             out[key] = gg
     return out
 
 
-def _apply_summandwise(
-    i: int, C: Complex, summand_images, entry_components
-) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """Shared expansion machinery for cap_i and cup_i cap_i.
+def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int]]]]:
+    """The endofunctor cup_i cap_i, with the layout of image summands.
 
-    summand_images(s) -> [(ProjSummand, label-or-None)];
-    entry_components(a, b, g) -> {(u, v): entry}.
-    Returns the complex and a layout: layout[h][k] = flat indices of the
-    images of summand k (in label order 1, x)."""
+    layout[h][k] lists the flat indices of the images of summand k of C^h
+    (in label order 1, x when the cap closes a circle).
+    """
     terms: dict[int, tuple[ProjSummand, ...]] = {}
-    layout: dict[int, list[list[int]]] = {}
-    labels: dict[int, list[list[int | None]]] = {}
+    images: dict[int, list[list[tuple[int, int | None]]]] = {}  # (flat index, label)
     for h, summands in C.terms.items():
         flat: list[ProjSummand] = []
-        lay: list[list[int]] = []
-        labs: list[list[int | None]] = []
+        images[h] = []
         for s in summands:
-            images = summand_images(s)
-            lay.append(list(range(len(flat), len(flat) + len(images))))
-            labs.append([u for _, u in images])
-            flat.extend(ps for ps, _ in images)
+            through, closed = cupcap_through(i, s.matching)
+            # the closed circle's label 1 shifts up, label x down
+            shifts = ((s.qshift + 1, 0), (s.qshift - 1, 1)) if closed else ((s.qshift, None),)
+            images[h].append([(len(flat) + k, u) for k, (_q, u) in enumerate(shifts)])
+            flat.extend(ProjSummand(through, q) for q, _u in shifts)
         terms[h] = tuple(flat)
-        layout[h] = lay
-        labels[h] = labs
     diffs: dict[int, ModuleMap] = {}
     for h, d in C.diffs.items():
         entries: dict[tuple[int, int], ArcCombination] = {}
         for (r, c), g in d.entries.items():
             a = C.terms[h][c].matching
             b = C.terms[h + 1][r].matching
-            comps = entry_components(a, b, g)
-            for (u, v), gg in comps.items():
-                src_positions = layout[h][c]
-                src_labels = labels[h][c]
-                tgt_positions = layout[h + 1][r]
-                tgt_labels = labels[h + 1][r]
-                for sp, su in zip(src_positions, src_labels):
-                    if su != u:
-                        continue
-                    for tp, tv in zip(tgt_positions, tgt_labels):
-                        if tv != v:
-                            continue
-                        entries[(tp, sp)] = entries.get(
-                            (tp, sp), ArcCombination(gg.source, gg.target, {})
-                        ) + gg
+            for (u, v), gg in _transformed_components(i, a, b, g).items():
+                for sp, su in images[h][c]:
+                    for tp, tv in images[h + 1][r]:
+                        if su == u and tv == v:
+                            entries[(tp, sp)] = entries[(tp, sp)] + gg if (tp, sp) in entries else gg
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
+    layout = {h: [[p for p, _u in img] for img in imgs] for h, imgs in images.items()}
     return Complex(terms, diffs, check=False), layout
-
-
-def cap_functor(i: int, C: Complex) -> Complex:
-    """cap_i: complexes over H_n -> complexes over H_{n-1}."""
-    D, _ = _apply_summandwise(
-        i,
-        C,
-        lambda s: _cap_summands(i, s),
-        lambda a, b, g: _transformed_components(i, a, b, g, recup=False),
-    )
-    return D
-
-
-def _cupcap_summands(i: int, s: ProjSummand) -> list[tuple[ProjSummand, int | None]]:
-    through, closed = cupcap_through(i, s.matching)
-    if not closed:
-        return [(ProjSummand(through, s.qshift), None)]
-    return [
-        (ProjSummand(through, s.qshift + 1), 0),
-        (ProjSummand(through, s.qshift - 1), 1),
-    ]
-
-
-def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """The endofunctor cup_i cap_i, with the layout of image summands."""
-    return _apply_summandwise(
-        i,
-        C,
-        lambda s: _cupcap_summands(i, s),
-        lambda a, b, g: _transformed_components(i, a, b, g, recup=True),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +314,6 @@ def twist(i: int, sign: int, C: Complex) -> Complex:
 
 
 def _all_truncated_homologies(n: int, C: Complex) -> dict:
-    from .planar import enumerate_matchings
-    from .homalg import idempotent_truncate, homology, eliminate
-
     out = {}
     for a in enumerate_matchings(n):
         out[a] = homology(idempotent_truncate(a, eliminate(C)), "Z")
@@ -399,22 +321,18 @@ def _all_truncated_homologies(n: int, C: Complex) -> dict:
 
 
 def _twist_word(word, C: Complex) -> Complex:
-    from .homalg import eliminate
-
     for i, s in word:
         C = eliminate(twist(i, s, C))
     return C
 
 
-def verify_braid_relations(n: int, signs=(1, -1)) -> dict:
+def verify_braid_relations(n: int) -> dict:
     """Braid relations and distant commutation on e_a-homology of every P_w."""
-    from .planar import enumerate_matchings
-
     checks = []
     positions = range(1, 2 * n)
     for w in enumerate_matchings(n):
         P = Complex.single(w)
-        for s in signs:
+        for s in (1, -1):
             for i in positions:
                 if i + 1 in positions:
                     lhs = _twist_word([(i, s), (i + 1, s), (i, s)], P)
@@ -438,8 +356,6 @@ def verify_braid_relations(n: int, signs=(1, -1)) -> dict:
 def verify_twist_inverse(n: int) -> dict:
     """twist then inverse twist restores the e_a-homology of every P_w,
     up to the homological shift of one cancelling letter pair."""
-    from .planar import enumerate_matchings
-
     checks = []
     for w in enumerate_matchings(n):
         P = Complex.single(w)

@@ -54,11 +54,6 @@ def qdeg(a: Label) -> int:
     return 1 if a is ONE else -1
 
 
-def labeling_qdeg(labels) -> int:
-    """Total quantum degree of a circle labeling: c - 2p for p x-labels."""
-    return sum(qdeg(l) for l in labels)
-
-
 def sdeg(n: int, c: int, p: int) -> int:
     """Cohomological degree of a block generator: (n - c) + 2p.
 

@@ -128,7 +128,7 @@ def test_verify_subcommands(capsys):
     assert rc == 0
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     rc, _out, err = run(capsys, "compute", "--braid", "7", "-n", "2")
     assert rc == 2 and "error" in err
     rc, _out, err = run(capsys, "compute", "--braid", "1 1")
@@ -143,9 +143,17 @@ def test_input_errors_exit_2(capsys):
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--crossing", "5"),
         ("verify", "braid-relations", "-n", "0"),
         ("verify", "positivity", "-n", "0"),
+        # a --source / --target matching must have -n arcs
+        ("arc-dump", "-n", "2", "--source", "(1 2)(3 4)(5 6)"),
+        ("arc-dump", "-n", "2", "--target", "(1 2)"),
     ):
         rc, _out, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err, argv
+    # a PD code whose crossing neither merges nor splits circles is not planar
+    pd = tmp_path / "nonplanar.pd"
+    pd.write_text("X+(1,2,1,2)\n")
+    rc, out, err = run(capsys, "oracle", "--pd", str(pd))
+    assert rc == 2 and "error:" in err and out == ""
 
 
 def test_output_file(tmp_path, capsys):

@@ -265,31 +265,11 @@ def test_cone_euler_characteristic():
 
 def test_shift_identities():
     C = twist(1, 1, single(plait(2)))
-    C1 = C.shift_h(1)
-    assert sorted(C1.terms) == [h - 1 for h in sorted(C.terms)]
-    for a in enumerate_matchings(2):
-        HA = homology(idempotent_truncate(a, C1))
-        HB = homology(idempotent_truncate(a, C))
-        assert HA == HB.shifted(-1, 0)
     Cq = C.shift_q(3)
     for a in enumerate_matchings(2):
         HA = homology(idempotent_truncate(a, Cq))
         HB = homology(idempotent_truncate(a, C))
         assert HA == HB.shifted(0, 3)
-
-
-def test_cone_shift_commutes_up_to_sign():
-    # cone(f)[1] and cone(f[1]) have the same summands and the same homology
-    P = single(mixed(2))
-    f, D = counit_map(1, P)
-    K1 = cone(f, D, P).shift_h(1)
-    f1 = {h - 1: m for h, m in f.items()}
-    K2 = cone(f1, D.shift_h(1), P.shift_h(1))
-    assert K1.terms == K2.terms
-    for a in enumerate_matchings(2):
-        assert homology(idempotent_truncate(a, K1)) == homology(
-            idempotent_truncate(a, K2)
-        )
 
 
 def test_eliminate_preserves_homology():

@@ -111,12 +111,6 @@ def test_pd_plain_sign_inference():
     }
 
 
-def test_second_sign_rule_gives_isomorphic_homology():
-    for letters in ([1], [1, 1], [1, 1, 1], [1, -1, 1]):
-        d = braid_to_pd(word(2, letters))
-        assert cube_homology(d, sign_rule="below") == cube_homology(d, sign_rule="above")
-
-
 def test_f2_rank_at_least_q_rank():
     rng = random.Random(23)
     for _ in range(6):

@@ -8,7 +8,6 @@ from khbraid.planar import (
     circles,
     codim,
     cup_insert,
-    depth_orientation,
     enumerate_matchings,
     format_matching,
     horseshoe,
@@ -106,22 +105,6 @@ def test_cap_undoes_cup():
         for w in enumerate_matchings(n - 1):
             for i in range(1, 2 * n):
                 assert cap_apply(i, cup_insert(i, w)) == (w, 1)
-
-
-def test_depth_orientation_examples():
-    d = {o.arc: o for o in depth_orientation(mixed(2))}
-    assert d[(1, 4)].depth == 0 and d[(1, 4)].clockwise
-    assert d[(2, 3)].depth == 1 and not d[(2, 3)].clockwise
-    assert all(o.depth == 0 for o in depth_orientation(plait(4)))
-    assert sorted(o.depth for o in depth_orientation(horseshoe(3))) == [0, 1, 2]
-
-
-def test_orientation_toward_even_endpoint_iff_even_depth_clockwise():
-    for n in (1, 2, 3, 4):
-        for w in enumerate_matchings(n):
-            for o in depth_orientation(w):
-                assert o.orientation % 2 == 0
-                assert o.clockwise == (o.depth % 2 == 0)
 
 
 def test_interpolate_examples():

@@ -4,6 +4,8 @@ import random
 from khbraid.arcalg import ArcCombination, block_basis, idempotent, multiply
 from khbraid.homalg import (
     Complex,
+    ModuleMap,
+    ProjSummand,
     eliminate,
     homology,
     idempotent_truncate,
@@ -14,15 +16,12 @@ from khbraid.planar import (
     circles,
     cup_insert,
     enumerate_matchings,
-    matching,
     mixed,
     plait,
 )
 from khbraid.tangle import (
     _cup_entry,
-    cap_functor,
     counit_map,
-    cup_functor,
     cupcap_functor,
     twist,
     unit_map,
@@ -41,13 +40,7 @@ def hom_of(a, C):
 
 
 # ---------------------------------------------------------------------------
-# cup functor
-
-
-def test_cup_functor_on_objects():
-    u1 = matching((1, 2))
-    assert cup_functor(1, single(u1)).summands(0)[0].matching == plait(2)
-    assert cup_functor(2, single(u1)).summands(0)[0].matching == mixed(2)
+# cup embedding
 
 
 def test_cup_functor_sends_idempotents_to_idempotents():
@@ -83,50 +76,23 @@ def test_cup_functor_is_a_strict_algebra_embedding():
 
 
 def test_cup_functor_image_of_a_twisted_complex_is_a_complex():
-    # strictness at the complex level: the image still satisfies d^2 = 0 and
-    # quantum homogeneity without any correction terms
+    # strictness at the complex level: P_w{q} -> P_{cup_insert(i,w)}{q} with
+    # every entry embedded by _cup_entry still satisfies d^2 = 0 and quantum
+    # homogeneity without any correction terms (the constructor checks both)
     for w in enumerate_matchings(2):
         C = twist(1, 1, twist(2, -1, single(w)))
         for i in range(1, 6):
-            D = cup_functor(i, C)
-            D.validate()
+            terms = {
+                h: tuple(ProjSummand(cup_insert(i, s.matching), s.qshift) for s in t)
+                for h, t in C.terms.items()
+            }
+            diffs = {
+                h: ModuleMap(terms[h], terms[h + 1], {rc: _cup_entry(i, g) for rc, g in d.entries.items()})
+                for h, d in C.diffs.items()
+            }
+            D = Complex(terms, diffs)
             assert all(s.matching.n == 3 for s in D.summands(0))
-
-
-# ---------------------------------------------------------------------------
-# cap functor
-
-
-def test_cap_functor_objects():
-    u1 = matching((1, 2))
-    D = cap_functor(1, single(plait(2)))
-    assert [(s.matching, s.qshift) for s in D.summands(0)] == [(u1, 1), (u1, -1)]
-    D = cap_functor(2, single(plait(2)))
-    assert [(s.matching, s.qshift) for s in D.summands(0)] == [(u1, 0)]
-    D = cap_functor(1, single(mixed(2)))
-    assert [(s.matching, s.qshift) for s in D.summands(0)] == [(u1, 0)]
-
-
-def test_cap_after_cup_creates_a_circle():
-    # cap_i cup_i P = P{1} (+) P{-1}
-    for n in (2, 3):
-        for w in enumerate_matchings(n - 1):
-            for i in range(1, 2 * n):
-                D = cap_functor(i, cup_functor(i, single(w)))
-                assert [(s.matching, s.qshift) for s in D.summands(0)] == [
-                    (w, 1),
-                    (w, -1),
-                ]
-
-
-def test_cap_functor_on_twist_differentials_is_a_complex():
-    # transforming a nontrivial differential still squares to zero and is
-    # quantum homogeneous: validate() checks both
-    for w in enumerate_matchings(2):
-        C = twist(2, 1, single(w))
-        for i in (1, 2, 3):
-            D = cap_functor(i, C)
-            D.validate()
+            assert D.diffs.keys() == C.diffs.keys()
 
 
 def test_adjunction_graded_dimension_identity():

@@ -3,7 +3,6 @@ import itertools
 from khbraid.tqft import (
     Label,
     counit,
-    labeling_qdeg,
     mask_merge,
     mask_qdeg,
     mask_split,
@@ -96,7 +95,7 @@ def test_all_structure_constants_nonnegative():
 
 def test_qdeg_conventions():
     assert qdeg(ONE) == 1 and qdeg(X) == -1
-    assert labeling_qdeg([ONE, X, X]) == -1
+    assert sum(qdeg(lab) for lab in (ONE, X, X)) == -1
     # a c-circle labeling with p x-labels has qdeg c - 2p
     for c in range(1, 5):
         for mask in range(1 << c):

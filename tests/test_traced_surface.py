@@ -1,0 +1,40 @@
+"""The benchmark's tracer (perfbench/tracer.py) patches khbraid functions by
+name at their import sites.  Installing it on the real modules fails here,
+in the unit tests, as soon as a traced name is renamed or deleted."""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
+    tracing = load_tracer()
+    kh = SimpleNamespace(
+        **{m: importlib.import_module(f"khbraid.{m}") for m in ("cli", "linkinv", "tangle", "homalg", "oracle")}
+    )
+    tr = tracing.Tracer()
+    undo = tracing.install(tr, kh)
+    try:
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in undo)
+        assert kh.cli.main(["compute", "--braid", "1 -1", "-n", "2"]) == 0
+    finally:
+        tracing.uninstall(undo)
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in undo)
+    assert json.loads(capsys.readouterr().out)["link"] == "n=2 1 -1"
+
+    _self_s, _incl_s, calls = tracing.self_times(tr.spans, tr.folded)
+    assert calls["linkinv.compute"] == 1
+    # one cone and one chain-map check per letter: the unit or counit checks
+    # its map, and the cone's own d^2 check is the only other guard
+    assert calls["homalg.cone"] == calls["homalg.is_chain_map"] == 2
