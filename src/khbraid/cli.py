@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verified, 1 verification or comparison failure,
 2 input error.  The KH_COEFFS environment variable overrides the default
-integer coefficients ("Z", "Q", or "Fp").
+coefficients ("Z", "Q", or "Fp"): Z everywhere except `verify skein`, whose
+default is Q.  --coeffs overrides both.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def _braid_from_args(args) -> BraidWord:
         raise InputError(str(e)) from e
 
 
-def _coeffs(args) -> str:
-    c = args.coeffs or os.environ.get("KH_COEFFS") or "Z"
+def _coeffs(args, default: str = "Z") -> str:
+    c = args.coeffs or os.environ.get("KH_COEFFS") or default
     try:
         coefficient_characteristic(c)
     except ValueError as e:
@@ -46,7 +47,11 @@ def emit(record: dict, path: str | None) -> str:
     """Serialize with stable key order; identical runs emit identical bytes."""
     text = json.dumps(record, sort_keys=True, indent=2) + "\n"
     if path and path != "-":
-        with open(path, "w") as fh:
+        try:
+            fh = open(path, "w")
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e.strerror}") from e
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -196,12 +201,13 @@ def cmd_verify(args) -> int:
         report = verify_markov(_braid_from_args(args), coefficients=_coeffs(args))
     elif kind == "skein":
         b = _braid_from_args(args)
+        coeffs = _coeffs(args, default="Q")
         if not b.letters:
             raise InputError("skein verification needs at least one crossing")
         if args.crossing is not None and not 0 <= args.crossing < len(b.letters):
             raise InputError(f"--crossing must lie in 0..{len(b.letters) - 1}")
         crossings = [args.crossing] if args.crossing is not None else range(len(b.letters))
-        subs = [verify_skein(b, c) for c in crossings]
+        subs = [verify_skein(b, c, coeffs) for c in crossings]
         report = {"word": b.format(), "crossings": subs, "ok": all(s["ok"] for s in subs)}
     elif kind == "braid-relations":
         if args.n is None or args.n < 1:
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         if braid:
             p.add_argument("--braid", help='braid word, e.g. "1 1 1" or "n=2 1 1 1"')
             p.add_argument("-n", type=int, help="number of strands (alternative to the n= header)")
-        p.add_argument("--coeffs", help="Z (default), Q, or Fp such as F2")
+        p.add_argument("--coeffs", help="Z (default; Q for verify skein), Q, or Fp such as F2")
         p.add_argument("-o", "--output", help="output path (default stdout)")
 
     p = sub.add_parser("compute", help="arc-algebra pipeline invariant")

@@ -11,6 +11,12 @@ Conventions, fixed once:
 * cone(f: C -> D) has terms C^{h+1} (+) D^h and differential
   [[-d_C, 0], [f, d_D]].
 
+`eliminate` cancels the +/-idempotent entries of a differential by
+worklist Gaussian elimination (Bar-Natan's local cancellation).  Summands
+keep stable ids while it runs and each differential is held as row and
+column adjacency, so a pivot costs only the entries it touches; the
+survivors are renumbered once at the end.
+
 Homology of the idempotent truncation has one kernel for every ring: each
 (h, j) block of the differential is reduced once by unimodular integer row
 and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
@@ -20,6 +26,7 @@ is an independent dense eliminator kept as the tests' reference.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -234,12 +241,21 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
 
 
 def _invertible_entry(g: ArcCombination, src: ProjSummand, tgt: ProjSummand) -> int | None:
-    """+1/-1 when the entry is exactly (+/-) the idempotent, else None."""
+    """+1/-1 when the entry is exactly (+/-) the idempotent, else None.
+
+    The coefficient test (one term, at mask 0, with coefficient +/-1) runs
+    first; it is cheap and rejects almost every entry before the summands
+    are compared.
+    """
+    terms = g.terms
+    if len(terms) != 1:
+        return None
+    s = terms.get(0)
+    if s != 1 and s != -1:
+        return None
     if src.matching != tgt.matching or src.qshift != tgt.qshift:
         return None
-    if len(g.terms) != 1 or 0 not in g.terms:
-        return None
-    return g.terms[0] if g.terms[0] in (1, -1) else None
+    return s
 
 
 def eliminate(C: Complex) -> Complex:
@@ -248,74 +264,80 @@ def eliminate(C: Complex) -> Complex:
     Each cancellation removes a pair of summands and corrects the rest of
     the differential by the standard Gaussian elimination lemma; homology is
     unchanged.
+
+    Worklist elimination on stable ids: a summand keeps its index in C as
+    its id, and the survivors are renumbered once at the end, in their
+    original order.  d_h is held as rows[h][r] = {c: g} with column sets
+    cols[h][c] = {r}, so a pivot (h, r, c) visits only its column and row of
+    d_h, row c of d_{h-1} and column r of d_{h+1}.  One scan queues every
+    invertible entry; afterwards an entry is queued only when a correction
+    writes it invertible.  A popped entry is tested again, since it may have
+    been deleted or changed while it waited.
     """
-    terms = {h: list(t) for h, t in C.terms.items()}
-    diffs: dict[int, dict[tuple[int, int], ArcCombination]] = {
-        h: dict(d.entries) for h, d in C.diffs.items()
-    }
+    terms = {h: dict(enumerate(t)) for h, t in C.terms.items()}
+    rows: dict[int, dict[int, dict[int, ArcCombination]]] = {}
+    cols: dict[int, dict[int, set[int]]] = {}
+    queue: deque[tuple[int, int, int]] = deque()
+    for h, d in C.diffs.items():
+        rows_h, cols_h = rows[h], cols[h] = {}, {}
+        src, tgt = terms[h], terms[h + 1]
+        for (r, c), g in d.entries.items():
+            rows_h.setdefault(r, {})[c] = g
+            cols_h.setdefault(c, set()).add(r)
+            if _invertible_entry(g, src[c], tgt[r]) is not None:
+                queue.append((h, r, c))
 
-    def find_pivot():
-        for h, entries in diffs.items():
-            for (r, c), g in entries.items():
-                s = _invertible_entry(g, terms[h][c], terms[h + 1][r])
-                if s is not None:
-                    return h, r, c, s
-        return None
-
-    while True:
-        piv = find_pivot()
-        if piv is None:
-            break
-        h, pr, pc, s = piv
-        entries = diffs[h]
+    while queue:
+        h, pr, pc = queue.popleft()
+        rows_h, cols_h = rows[h], cols[h]
+        g = rows_h.get(pr, {}).get(pc)
+        if g is None:
+            continue
+        src, tgt = terms[h], terms[h + 1]
+        s = _invertible_entry(g, src[pc], tgt[pr])
+        if s is None:
+            continue
+        # take row pr and column pc out of d_h
+        delta = rows_h.pop(pr)
+        del delta[pc]
+        for c in delta:
+            cols_h[c].discard(pr)
+        gamma = cols_h.pop(pc)
+        gamma.discard(pr)
         # correction: d[r,c] -= s * d[r,pc] . d[pr,c]
-        gamma = {r: entries[(r, pc)] for (r, c) in entries if c == pc and r != pr}
-        delta = {c: entries[(pr, c)] for (r, c) in entries if r == pr and c != pc}
-        for r, g_r in gamma.items():
+        for r in gamma:
+            row = rows_h[r]
+            g_r = row.pop(pc)
             for c, g_c in delta.items():
                 corr = multiply(g_r, g_c)
                 if not corr:
                     continue
                 corr = (-s) * corr
-                if (r, c) in entries:
-                    new = entries[(r, c)] + corr
-                    if new:
-                        entries[(r, c)] = new
-                    else:
-                        del entries[(r, c)]
-                else:
-                    entries[(r, c)] = corr
-        # drop the pivot pair and reindex
-        for key in [k for k in entries if k[0] == pr or k[1] == pc]:
-            del entries[key]
-        below = diffs.get(h - 1, {})
-        for key in [k for k in below if k[0] == pc]:
-            del below[key]
-        above = diffs.get(h + 1, {})
-        for key in [k for k in above if k[1] == pr]:
-            del above[key]
+                new = row[c] + corr if c in row else corr
+                if not new:
+                    del row[c]
+                    cols_h[c].discard(r)
+                    continue
+                row[c] = new
+                cols_h[c].add(r)
+                if _invertible_entry(new, src[c], tgt[r]) is not None:
+                    queue.append((h, r, c))
+        # drop row pc of d_{h-1} and column pr of d_{h+1}
+        if h - 1 in rows:
+            for c in rows[h - 1].pop(pc, ()):
+                cols[h - 1][c].discard(pc)
+        if h + 1 in rows:
+            for r in cols[h + 1].pop(pr, ()):
+                del rows[h + 1][r][pr]
+        del src[pc], tgt[pr]
 
-        def reindex(d: dict, row_drop: int | None, col_drop: int | None):
-            out = {}
-            for (r, c), g in d.items():
-                nr = r - 1 if row_drop is not None and r > row_drop else r
-                nc = c - 1 if col_drop is not None and c > col_drop else c
-                out[(nr, nc)] = g
-            return out
-
-        diffs[h] = reindex(entries, pr, pc)
-        if h - 1 in diffs:
-            diffs[h - 1] = reindex(diffs[h - 1], pc, None)
-        if h + 1 in diffs:
-            diffs[h + 1] = reindex(diffs[h + 1], None, pr)
-        del terms[h][pc]
-        del terms[h + 1][pr]
-
-    new_terms = {h: tuple(t) for h, t in terms.items() if t}
+    index = {h: {k: i for i, k in enumerate(t)} for h, t in terms.items()}
+    new_terms = {h: tuple(t.values()) for h, t in terms.items()}
     new_diffs = {}
-    for h, entries in diffs.items():
-        if entries and h in new_terms and h + 1 in new_terms:
-            new_diffs[h] = ModuleMap(new_terms[h], new_terms[h + 1], entries)
+    for h, rows_h in rows.items():
+        ri, ci = index[h + 1], index[h]
+        entries = {(ri[r], ci[c]): g for r, row in rows_h.items() for c, g in row.items()}
+        new_diffs[h] = ModuleMap(new_terms[h], new_terms[h + 1], entries)
     return Complex(new_terms, new_diffs, check=False)
 
 

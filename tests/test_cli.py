@@ -146,6 +146,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         # a --source / --target matching must have -n arcs
         ("arc-dump", "-n", "2", "--source", "(1 2)(3 4)(5 6)"),
         ("arc-dump", "-n", "2", "--target", "(1 2)"),
+        # -o into a directory that does not exist
+        ("compute", "--braid", "n=2 1", "-o", str(tmp_path / "missing" / "x.json")),
+        ("verify", "positivity", "-n", "2", "-o", str(tmp_path / "missing" / "y")),
+        ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F4"),
     ):
         rc, _out, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err, argv
@@ -154,6 +158,20 @@ def test_input_errors_exit_2(capsys, tmp_path):
     pd.write_text("X+(1,2,1,2)\n")
     rc, out, err = run(capsys, "oracle", "--pd", str(pd))
     assert rc == 2 and "error:" in err and out == ""
+
+
+def test_skein_reads_coefficients(capsys, monkeypatch):
+    monkeypatch.delenv("KH_COEFFS", raising=False)
+    rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")
+    assert rc == 0
+    assert {s["coefficients"] for s in json.loads(out)["crossings"]} == {"Q"}
+    rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F2")
+    assert rc == 0
+    assert {s["coefficients"] for s in json.loads(out)["crossings"]} == {"F2"}
+    monkeypatch.setenv("KH_COEFFS", "F3")
+    rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")
+    assert rc == 0
+    assert {s["coefficients"] for s in json.loads(out)["crossings"]} == {"F3"}
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,0 +1,37 @@
+"""Seeded differential fuzzing of the arc pipeline.
+
+hypothesis draws braid words on 2-4 strands of 1-7 letters.  derandomize
+fixes the examples, so every run checks the same words, and no example
+database is written.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from khbraid.homalg import BigradedGroup, homology
+from khbraid.linkinv import BraidWord, compute
+from khbraid.oracle import braid_to_pd, cube_complex
+
+seeded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+
+@st.composite
+def braid_words(draw) -> BraidWord:
+    n = draw(st.integers(2, 4))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=7))))
+
+
+@seeded
+@given(braid_words())
+def test_arc_equals_oracle_over_z_and_f2(b):
+    cube = cube_complex(braid_to_pd(b))
+    for coeffs in ("Z", "F2"):
+        assert compute(b, coeffs).bigraded == homology(cube, coeffs), (b.format(), coeffs)
+
+
+@seeded
+@given(braid_words())
+def test_mirror_negates_both_degrees_over_q(b):
+    H = compute(b, "Q").bigraded
+    flipped = BigradedGroup({(-i, -j): v for (i, j), v in H.entries.items()})
+    assert compute(b.mirror(), "Q").bigraded == flipped, b.format()

@@ -11,6 +11,7 @@ from khbraid.homalg import (
     ModuleMap,
     ProjSummand,
     cone,
+    _invertible_entry,
     eliminate,
     homology,
     idempotent_truncate,
@@ -18,7 +19,7 @@ from khbraid.homalg import (
     rank_over_field,
     smith_diagonal,
 )
-from khbraid.linkinv import BraidWord
+from khbraid.linkinv import BraidWord, braid_complex
 from khbraid.oracle import braid_to_pd, cube_complex
 from khbraid.planar import circles, enumerate_matchings, mixed, plait
 from khbraid.tangle import counit_map, twist
@@ -272,23 +273,57 @@ def test_shift_identities():
         assert HA == HB.shifted(0, 3)
 
 
-def test_eliminate_preserves_homology():
+def _complexes_to_eliminate():
     rng = random.Random(7)
     ms = enumerate_matchings(2)
     for _ in range(15):
-        C = single(rng.choice(ms))
-        word = [
-            (rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(1, 3))
-        ]
-        full = C
-        for i, s in word:
-            full = twist(i, s, full)
+        full = single(rng.choice(ms))
+        for _ in range(rng.randint(1, 3)):
+            full = twist(rng.randint(1, 3), rng.choice((1, -1)), full)
+        yield full
+    # integer multiples of one idempotent: a correction can write a new +-1
+    # entry, which must be cancelled too
+    for _ in range(15):
+        w = rng.choice(ms)
+        src = (ProjSummand(w, 0),) * rng.randint(1, 4)
+        tgt = (ProjSummand(w, 0),) * rng.randint(1, 4)
+        entries = {
+            (r, c): ArcCombination(w, w, {0: v})
+            for r in range(len(tgt))
+            for c in range(len(src))
+            if (v := rng.randint(-2, 2))
+        }
+        yield Complex({0: src, 1: tgt}, {0: ModuleMap(src, tgt, entries)})
+
+
+def test_eliminate_preserves_homology():
+    for full in _complexes_to_eliminate():
         red = eliminate(full)
         assert red.size() <= full.size()
-        for a in ms:
+        for a in enumerate_matchings(2):
             assert homology(idempotent_truncate(a, red)) == homology(
                 idempotent_truncate(a, full)
             )
+        # postconditions: a complex, with no isomorphism entry left
+        red.validate()
+        for h, d in red.diffs.items():
+            for (r, c), g in d.entries.items():
+                assert _invertible_entry(g, red.terms[h][c], red.terms[h + 1][r]) is None
+        assert eliminate(red).size() == red.size()
+
+
+@pytest.mark.parametrize(
+    "word, size",
+    [
+        ("n=3 1 -2 1 -2 1 -2 1 -2", 88),
+        ("n=3 1 2 1 2 1 2 1 2", 12),
+        ("n=4 1 -2 3 -2 1 -2 3 -2", 134),
+        ("n=3 1 1 -2 -2 1 -2 1 -2", 70),
+    ],
+)
+def test_braid_complex_size_does_not_grow(word, size):
+    # sizes reached by the rescanning eliminator this one replaced
+    assert braid_complex(BraidWord.parse(word)).size() <= size
 
 
 def test_module_map_composition_is_matrix_product():
