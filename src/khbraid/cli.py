@@ -217,9 +217,11 @@ def cmd_verify(args) -> int:
         if args.n is None or args.n < 1:
             raise InputError("-n is required and must be >= 1")
         report = verify_positivity(args.n)
+        if args.output and args.output != "-":
+            emit(report, args.output)  # a path that cannot be written exits 2 before the verdict
         tail = "PASS" if report["ok"] else "FAIL"
         print(f"all structure constants >= 0: {tail}")
-        if args.output:
+        if args.output == "-":
             emit(report, args.output)
         return 0 if report["ok"] else 1
     else:  # unreachable through argparse

@@ -20,8 +20,10 @@ survivors are renumbered once at the end.
 Homology of the idempotent truncation has one kernel for every ring: each
 (h, j) block of the differential is reduced once by unimodular integer row
 and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
-and the torsion over Z are read off that one diagonal.  `rank_over_field`
-is an independent dense eliminator kept as the tests' reference.
+and the torsion over Z are read off that one diagonal.  The kernel first
+sweeps out ±1 pivots by row operations alone, then runs Euclid on what is
+left.  `rank_over_field` is an independent dense eliminator kept as the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -421,8 +423,17 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
     """Diagonal of an integer matrix under invertible row/col ops.
 
     Not forced into divisibility order; the cokernel torsion ⊕Z/d can be
-    read off directly.  Pivots on ±1 entries first to limit coefficient
-    growth.
+    read off directly.
+
+    Unit sweep, then Euclid on the remainder (after Dumas, Saunders and
+    Villard, J. Symb. Comput. 32, 2001).  The sweep visits the columns once,
+    fewest initial entries first.  In a column that is still present it
+    pivots on the shortest row holding a ±1 there, clears the column by row
+    operations and drops the pivot row and column, contributing a 1.  No
+    column operation is needed: once the column is clear it would only
+    touch the pivot row.  What is left, including ±1 entries that fill-in
+    wrote into columns already passed, goes to the general loop: pivot on
+    an entry of least absolute value and run Euclid on its row and column.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -431,6 +442,44 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
+    # unit sweep: row operations only, written straight into the row dicts
+    diag: list[int] = []
+    for pc in sorted(cols, key=lambda c: len(cols[c])):
+        col = cols.get(pc)
+        if col is None:
+            continue
+        pr = min(
+            (r for r in col if rows[r][pc] in (1, -1)), key=lambda r: len(rows[r]), default=None
+        )
+        if pr is None:
+            continue
+        prow = rows.pop(pr)
+        a = prow.pop(pc)
+        del cols[pc]
+        col.discard(pr)
+        for c in prow:
+            cols[c].discard(pr)
+        for r in col:
+            row = rows[r]
+            q = row.pop(pc) * a  # a = ±1 is its own inverse
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -q * v
+                    cols[c].add(r)
+                elif old != q * v:
+                    row[c] = old - q * v
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if not row:
+                del rows[r]
+        for c in prow:
+            if not cols[c]:
+                del cols[c]
+        diag.append(1)
+
+    # Euclid on the remainder
     def set_entry(r: int, c: int, v: int):
         if v:
             rows.setdefault(r, {})[c] = v
@@ -486,7 +535,6 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
         if s1:
             cols[c2] = s1
 
-    diag: list[int] = []
     while rows:
         pr = pc = None
         best = None

@@ -80,6 +80,17 @@ def test_compare_matching_link(capsys):
     assert json.loads(out)["equal"] is True
 
 
+def test_compare_agrees_over_z_on_a_12_crossing_word(capsys):
+    # 4 strands, 12 crossings: the cube has 4096 vertices.  The referee's Smith
+    # kernel finishes in seconds only while unit pivots stay cheap, so this
+    # also guards against fill-in spreading from them again.
+    word = "n=4 1 2 -3 1 2 -3 1 -2 3 -1 2 3"
+    rc, out, _ = run(capsys, "compare", "--braid", word, "--coeffs", "Z")
+    rec = json.loads(out)
+    assert rc == 0 and rec["equal"] is True
+    assert any(g["torsion"] for g in rec["oracle_groups"])  # torsion is compared as well
+
+
 def test_compare_exit_codes_and_coeffs(capsys, monkeypatch):
     monkeypatch.setenv("KH_COEFFS", "F2")
     rc, out, _ = run(capsys, "compare", "--braid", "1 1", "-n", "2")
@@ -119,7 +130,10 @@ def test_arc_dump(capsys):
 
 def test_verify_subcommands(capsys):
     rc, out, _ = run(capsys, "verify", "positivity", "-n", "2")
-    assert rc == 0 and "PASS" in out
+    assert rc == 0 and out == "all structure constants >= 0: PASS\n"
+    rc, out, _ = run(capsys, "verify", "positivity", "-n", "2", "-o", "-")
+    verdict, record = out.split("\n", 1)
+    assert rc == 0 and verdict == "all structure constants >= 0: PASS" and json.loads(record)["ok"]
     rc, out, _ = run(capsys, "verify", "markov", "--braid", "1", "-n", "2")
     assert rc == 0 and json.loads(out)["ok"] is True
     rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")
@@ -151,8 +165,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("verify", "positivity", "-n", "2", "-o", str(tmp_path / "missing" / "y")),
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F4"),
     ):
-        rc, _out, err = run(capsys, *argv)
-        assert rc == 2 and "error:" in err, argv
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and "error:" in err and out == "", argv
     # a PD code whose crossing neither merges nor splits circles is not planar
     pd = tmp_path / "nonplanar.pd"
     pd.write_text("X+(1,2,1,2)\n")

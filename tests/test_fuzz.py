@@ -2,7 +2,8 @@
 
 hypothesis draws braid words on 2-4 strands of 1-7 letters.  derandomize
 fixes the examples, so every run checks the same words, and no example
-database is written.
+database is written.  Besides the cube oracle, the referees are the link
+invariance of the homology: mirror, conjugation and Markov stabilisation.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -35,3 +36,20 @@ def test_mirror_negates_both_degrees_over_q(b):
     H = compute(b, "Q").bigraded
     flipped = BigradedGroup({(-i, -j): v for (i, j), v in H.entries.items()})
     assert compute(b.mirror(), "Q").bigraded == flipped, b.format()
+
+
+@seeded
+@given(braid_words(), st.data())
+def test_conjugation_invariance_over_q(b, data):
+    k = data.draw(st.integers(1, b.strands - 1))
+    s = data.draw(st.sampled_from((1, -1)))
+    conjugate = BraidWord(b.strands, ((k, s), *b.letters, (k, -s)))
+    assert compute(conjugate, "Q").bigraded == compute(b, "Q").bigraded, (b.format(), k, s)
+
+
+@seeded
+@given(braid_words(), st.sampled_from((1, -1)))
+def test_markov_stabilisation_invariance_over_q(b, s):
+    n = b.strands
+    stabilised = BraidWord(n + 1, (*b.letters, (n, s)))
+    assert compute(stabilised, "Q").bigraded == compute(b, "Q").bigraded, (b.format(), s)

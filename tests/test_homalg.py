@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from khbraid.homalg import (
     ProjSummand,
     cone,
     _invertible_entry,
+    _prime_power_factors,
     eliminate,
     homology,
     idempotent_truncate,
@@ -81,6 +83,60 @@ def test_smith_rank_fuzz_against_dense_elimination():
             assert rank_over_field(dict(entries), p) == len(
                 [d for d in smith_diagonal(dict(entries)) if d % p]
             )
+
+
+def _det(M):
+    if not M:
+        return 1
+    return sum(
+        (-1) ** k * v * _det([row[:k] + row[k + 1 :] for row in M[1:]])
+        for k, v in enumerate(M[0])
+        if v
+    )
+
+
+def _invariant_factors(entries, rows, cols):
+    """s_k = d_k / d_(k-1), with d_k the gcd of all k x k minors (brute force)."""
+    M = [[entries.get((r, c), 0) for c in range(cols)] for r in range(rows)]
+    d = [1]
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = gcd(g, _det([[M[r][c] for c in cs] for r in rs]))
+        if not g:
+            break
+        d.append(g)
+    return [d[k] // d[k - 1] for k in range(1, len(d))]
+
+
+def _torsion(diagonal):
+    return sorted(q for s in diagonal if s > 1 for q in _prime_power_factors(s))
+
+
+def test_smith_torsion_against_determinantal_divisors():
+    # three rows and columns c0, c1, c2.  The sweep passes c2 ({2}) and
+    # c0 ({3, 4}), which hold no unit, then pivots on the 1 at (0, 1); the row
+    # operation on row 1 writes 4 - 3 = 1 into c0, a column already passed,
+    # and the remainder loop must pick that unit up.  Smith form (1, 1, 12).
+    fill = {(0, 0): 3, (0, 1): 1, (1, 0): 4, (1, 1): 1, (1, 2): 2, (2, 1): 2}
+    cases = [(fill, 3, 3)]
+    rng = random.Random(5)
+    for _ in range(150):
+        R, C = rng.randint(1, 5), rng.randint(1, 5)
+        entries = {
+            (r, c): rng.choice((2, 2, 3, 3, 4, 4, 1)) * rng.choice((1, -1))
+            for r in range(R)
+            for c in range(C)
+            if rng.random() < 0.6
+        }
+        cases.append((entries, R, C))
+    for entries, R, C in cases:
+        want = _invariant_factors(entries, R, C)
+        diagonal = smith_diagonal(dict(entries))
+        assert len(diagonal) == len(want), entries
+        assert _torsion(diagonal) == _torsion(want), entries
+    assert _invariant_factors(fill, 3, 3) == [1, 1, 12]
 
 
 def test_homology_plain_groups():
