@@ -20,10 +20,12 @@ survivors are renumbered once at the end.
 Homology of the idempotent truncation has one kernel for every ring: each
 (h, j) block of the differential is reduced once by unimodular integer row
 and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
-and the torsion over Z are read off that one diagonal.  The kernel first
-sweeps out ±1 pivots by row operations alone, then runs Euclid on what is
-left.  `rank_over_field` is an independent dense eliminator kept as the
-tests' reference.
+and the torsion over Z are read off that one diagonal.  The kernel has one
+pivot step, which clears the pivot's column by row operations and then
+reduces the pivot row mod the pivot, and two pivot choices: a sweep over
+the ±1 entries first, then entries of least absolute value on what is left.
+`rank_over_field` is an independent dense eliminator kept as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -425,15 +427,16 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
     Not forced into divisibility order; the cokernel torsion ⊕Z/d can be
     read off directly.
 
-    Unit sweep, then Euclid on the remainder (after Dumas, Saunders and
-    Villard, J. Symb. Comput. 32, 2001).  The sweep visits the columns once,
-    fewest initial entries first.  In a column that is still present it
-    pivots on the shortest row holding a ±1 there, clears the column by row
-    operations and drops the pivot row and column, contributing a 1.  No
-    column operation is needed: once the column is clear it would only
-    touch the pivot row.  What is left, including ±1 entries that fill-in
-    wrote into columns already passed, goes to the general loop: pivot on
-    an entry of least absolute value and run Euclid on its row and column.
+    One pivot step, two pivot choices (after Dumas, Saunders and Villard,
+    J. Symb. Comput. 32, 2001).  The step at a pivot a in (pr, pc) subtracts
+    row[pc] // a times row pr from every other row of column pc.  Once the
+    column is clear a column operation would only touch row pr, so none is
+    applied: row pr is reduced mod a in place, and once a is alone in it, it
+    is dropped and |a| appended.  A unit sweep visits the columns once,
+    fewest initial entries first, pivoting on the shortest row with a ±1
+    there.  The remainder, including ±1s that fill-in wrote into columns
+    already passed, pivots on an entry of least absolute value, and picks
+    again while a smaller one is left in the column or the pivot row.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -442,26 +445,19 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
-    # unit sweep: row operations only, written straight into the row dicts
-    diag: list[int] = []
-    for pc in sorted(cols, key=lambda c: len(cols[c])):
-        col = cols.get(pc)
-        if col is None:
-            continue
-        pr = min(
-            (r for r in col if rows[r][pc] in (1, -1)), key=lambda r: len(rows[r]), default=None
-        )
-        if pr is None:
-            continue
-        prow = rows.pop(pr)
-        a = prow.pop(pc)
-        del cols[pc]
-        col.discard(pr)
-        for c in prow:
-            cols[c].discard(pr)
+    def clear_column(pr: int, pc: int) -> bool:
+        prow = rows[pr]
+        a = prow.pop(pc)  # out of the row while it is subtracted
+        col = cols[pc]
+        col.remove(pr)
+        left = {pr}
         for r in col:
             row = rows[r]
-            q = row.pop(pc) * a  # a = ±1 is its own inverse
+            b = row.pop(pc)
+            q = b // a
+            if b != q * a:
+                row[pc] = b - q * a
+                left.add(r)
             for c, v in prow.items():
                 old = row.get(c)
                 if old is None:
@@ -471,102 +467,49 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
                     row[c] = old - q * v
                 else:
                     del row[c]
-                    cols[c].discard(r)
+                    cols[c].discard(r)  # never empties: pr is still there
             if not row:
                 del rows[r]
-        for c in prow:
-            if not cols[c]:
-                del cols[c]
-        diag.append(1)
+        prow[pc] = a
+        cols[pc] = left
+        return len(left) == 1
 
-    # Euclid on the remainder
-    def set_entry(r: int, c: int, v: int):
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-        else:
-            row = rows.get(r)
-            if row is not None and c in row:
-                del row[c]
-                if not row:
-                    del rows[r]
-                cs = cols[c]
-                cs.discard(r)
-                if not cs:
-                    del cols[c]
-
-    def row_sub(r: int, r0: int, q: int):
-        for c2, v2 in list(rows[r0].items()):
-            set_entry(r, c2, rows.get(r, {}).get(c2, 0) - q * v2)
-
-    def col_sub(c: int, c0: int, q: int):
-        for r2 in list(cols[c0]):
-            set_entry(r2, c, rows[r2].get(c, 0) - q * rows[r2][c0])
-
-    def swap_rows(r1: int, r2: int):
-        touched = set(rows.get(r1, {})) | set(rows.get(r2, {}))
-        rows[r1], rows[r2] = rows.pop(r2, {}), rows.pop(r1, {})
-        for rr in (r1, r2):
-            if rr in rows and not rows[rr]:
-                del rows[rr]
-        for c in touched:
-            s = cols.setdefault(c, set())
-            for rr in (r1, r2):
-                if rr in rows and c in rows[rr]:
-                    s.add(rr)
-                else:
-                    s.discard(rr)
+    def unlink(r: int, cs) -> None:
+        for c in cs:
+            s = cols[c]
+            s.discard(r)
             if not s:
                 del cols[c]
 
-    def swap_cols(c1: int, c2: int):
-        for r in set(cols.get(c1, set())) | set(cols.get(c2, set())):
-            row = rows[r]
-            v1, v2 = row.get(c1), row.get(c2)
-            for c, v in ((c1, v2), (c2, v1)):
-                if v is None:
-                    row.pop(c, None)
-                else:
-                    row[c] = v
-        s1 = {r for r in cols.pop(c1, set())}
-        s2 = {r for r in cols.pop(c2, set())}
-        if s2:
-            cols[c1] = s2
-        if s1:
-            cols[c2] = s1
+    diag: list[int] = []
+    for pc in sorted(cols, key=lambda c: len(cols[c])):
+        col = cols.get(pc)
+        pr = col and min(
+            (r for r in col if rows[r][pc] in (1, -1)), key=lambda r: len(rows[r]), default=None
+        )
+        if pr is not None:
+            clear_column(pr, pc)
+            unlink(pr, rows.pop(pr))
+            diag.append(1)
 
     while rows:
-        pr = pc = None
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                a = abs(v)
-                if best is None or a < best:
-                    pr, pc, best = r, c, a
-                if a == 1:
-                    break
-            if best == 1:
-                break
-        while True:
-            other_r = next((r for r in cols[pc] if r != pr), None)
-            if other_r is not None:
-                a = rows[pr][pc]
-                b = rows[other_r][pc]
-                row_sub(other_r, pr, b // a)
-                if rows.get(other_r, {}).get(pc):
-                    swap_rows(pr, other_r)  # strictly smaller pivot, Euclid
-                continue
-            other_c = next((c for c in rows[pr] if c != pc), None)
-            if other_c is not None:
-                a = rows[pr][pc]
-                b = rows[pr][other_c]
-                col_sub(other_c, pc, b // a)
-                if rows[pr].get(other_c):
-                    swap_cols(pc, other_c)
-                continue
-            break
-        diag.append(abs(rows[pr][pc]))
-        set_entry(pr, pc, 0)
+        _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        if not clear_column(pr, pc):
+            continue  # a smaller remainder is left in the column
+        prow = rows[pr]
+        a = prow.pop(pc)
+        for c, v in list(prow.items()):
+            if v % a:
+                prow[c] = v % a
+            else:
+                del prow[c]
+                unlink(pr, (c,))
+        if prow:
+            prow[pc] = a  # a smaller entry is left in the row
+        else:
+            del rows[pr]
+            unlink(pr, (pc,))
+            diag.append(abs(a))
     return diag
 
 

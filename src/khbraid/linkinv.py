@@ -74,9 +74,15 @@ class BraidWord:
         signed integers, e.g. "n=2 1 1 1"."""
         toks = text.replace(",", " ").split()
         word = []
+        header = None
         for t in toks:
             if t.startswith("n="):
-                strands = int(t[2:])
+                if header is not None:
+                    raise ValueError("the n= header appears twice")
+                header = int(t[2:])
+                if strands is not None and header != strands:
+                    raise ValueError(f"header n={header} contradicts the strand count {strands}")
+                strands = header
             else:
                 k = int(t)
                 if k == 0:

@@ -231,7 +231,8 @@ def format_pd(d: Diagram) -> str:
 
 def parse_pd(text: str) -> Diagram:
     """Parse the PD text format; infers signs of plain X(...) crossings from
-    the convention that edge numbers increase along each component."""
+    the convention that edge numbers increase along each component, and
+    refuses a sign that contradicts the orientation of the edge labels."""
     crossings = []
     loops = 0
     plain: list[tuple[int, int, int, int]] = []
@@ -268,6 +269,18 @@ def parse_pd(text: str) -> Diagram:
                 )
     diag = Diagram(tuple(crossings), free_loops=loops)
     diag.validate()
+    # the under-strand runs a -> c, the over-strand d -> b at X+ and b -> d at
+    # X-; every edge must run into exactly one crossing end
+    into: set[int] = set()
+    for x in crossings:
+        a, b, _c, d = x.edges
+        for e in (a, d if x.sign == 1 else b):
+            if e in into:
+                raise ValueError(
+                    f"edge {e} runs into two crossing ends: a crossing sign contradicts its "
+                    "edge labels (read counterclockwise from the incoming under-strand)"
+                )
+            into.add(e)
     return diag
 
 

@@ -68,12 +68,14 @@ def parse_matching(text: str) -> Matching:
     body = text.replace(",", " ").strip()
     pairs = []
     while body:
-        if not body.startswith("("):
-            raise ValueError(f"expected '(' in matching notation: {text!r}")
-        close = body.index(")")
-        a, b = body[1:close].split()
-        pairs.append((int(a), int(b)))
-        body = body[close + 1 :].strip()
+        close = body.find(")") + 1 or len(body)
+        group, body = body[:close], body[close:].strip()
+        nums = group[1:-1].split() if group[0] + group[-1] == "()" else []
+        try:
+            a, b = map(int, nums)
+        except ValueError:
+            raise ValueError(f"bad group {group!r} in matching notation {text!r}; want (a b)") from None
+        pairs.append((a, b))
     if not pairs:
         raise ValueError("empty matching")
     return matching(*pairs)

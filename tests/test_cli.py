@@ -164,14 +164,25 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("compute", "--braid", "n=2 1", "-o", str(tmp_path / "missing" / "x.json")),
         ("verify", "positivity", "-n", "2", "-o", str(tmp_path / "missing" / "y")),
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F4"),
+        # a strand count that contradicts itself
+        ("compute", "--braid", "n=2 1", "-n", "3"),
+        ("compute", "--braid", "n=2 n=3 1 2"),
+        # a group of the matching notation that is not "(a b)"
+        ("arc-dump", "-n", "2", "--source", "(1 2 3)(4 5)"),
+        ("arc-dump", "-n", "2", "--source", "(1 2)(3 4"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err and out == "", argv
-    # a PD code whose crossing neither merges nor splits circles is not planar
-    pd = tmp_path / "nonplanar.pd"
-    pd.write_text("X+(1,2,1,2)\n")
-    rc, out, err = run(capsys, "oracle", "--pd", str(pd))
-    assert rc == 2 and "error:" in err and out == ""
+    # a PD code whose crossing neither merges nor splits circles is not planar;
+    # in the kinks the sign contradicts the orientation of the edge labels
+    for name, code in (("nonplanar", "X+(1,2,1,2)"), ("kink+", "X+(1,2,2,1)"), ("kink-", "X-(1,1,2,2)")):
+        pd = tmp_path / f"{name}.pd"
+        pd.write_text(code + "\n")
+        rc, out, err = run(capsys, "oracle", "--pd", str(pd))
+        assert rc == 2 and "error:" in err and out == "", code
+    # a header equal to -n stays accepted
+    rc, out, err = run(capsys, "compute", "--braid", "n=3 1 2", "-n", "3")
+    assert rc == 0
 
 
 def test_skein_reads_coefficients(capsys, monkeypatch):

@@ -131,6 +131,20 @@ def test_smith_torsion_against_determinantal_divisors():
             if rng.random() < 0.6
         }
         cases.append((entries, R, C))
+    # no unit anywhere: every pivot goes through the remainder.  In [4 -6] the
+    # pivot row keeps -6 mod 4 = 2 after its reduction and in [4; 6] the
+    # column keeps 6 - 4 = 2, and the pick must move to that smaller entry.
+    cases += [({(0, 0): 4, (0, 1): -6}, 1, 2), ({(0, 0): 4, (1, 0): 6}, 2, 1)]
+    rng = random.Random(11)
+    for _ in range(150):
+        R, C = rng.randint(1, 5), rng.randint(1, 5)
+        entries = {
+            (r, c): rng.choice((2, 3, 4, 6)) * rng.choice((1, -1))
+            for r in range(R)
+            for c in range(C)
+            if rng.random() < 0.6
+        }
+        cases.append((entries, R, C))
     for entries, R, C in cases:
         want = _invariant_factors(entries, R, C)
         diagonal = smith_diagonal(dict(entries))

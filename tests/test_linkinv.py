@@ -50,6 +50,12 @@ def test_braidword_parsing_and_format():
         BraidWord.parse("n=2 2")  # generator out of range
     with pytest.raises(ValueError):
         BraidWord.parse("n=2 0")
+    # the header may repeat the given strand count but not contradict it
+    assert BraidWord.parse("n=3 1 2", strands=3) == BraidWord.parse("1 2", strands=3)
+    with pytest.raises(ValueError):
+        BraidWord.parse("n=2 1", strands=3)
+    with pytest.raises(ValueError):
+        BraidWord.parse("n=2 n=3 1 2")
 
 
 def test_unknots():

@@ -111,6 +111,17 @@ def test_pd_plain_sign_inference():
     }
 
 
+def test_pd_one_crossing_kinks_are_unknots():
+    # the under-strand runs a -> c and the over-strand d -> b at X+, b -> d at
+    # X-; these two kinks agree with their signs (X+(1,2,2,1) and X-(1,1,2,2)
+    # do not, and parse_pd refuses them)
+    for text in ("X-(1,2,2,1)", "X+(1,1,2,2)"):
+        assert cube_homology(parse_pd(text)).entries == {(0, -1): (1, ()), (0, 1): (1, ())}
+    for text in ("X+(1,2,2,1)", "X-(1,1,2,2)"):
+        with pytest.raises(ValueError):
+            parse_pd(text)
+
+
 def test_f2_rank_at_least_q_rank():
     rng = random.Random(23)
     for _ in range(6):
