@@ -151,6 +151,9 @@ def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None = 
 
     ``order`` overrides the default left-endpoint order of the contracted
     arcs; any order gives the same products (a tested property).
+
+    Cached: at most C_n^3 entries for each n reached (times the orders a
+    caller passes; the product itself passes none).
     """
     n = u.n
     bot = circles(u, v)

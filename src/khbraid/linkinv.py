@@ -79,12 +79,18 @@ class BraidWord:
             if t.startswith("n="):
                 if header is not None:
                     raise ValueError("the n= header appears twice")
-                header = int(t[2:])
+                try:
+                    header = int(t[2:])
+                except ValueError:
+                    raise ValueError(f"bad header {t!r} in braid word {text!r}; want n=<strands>") from None
                 if strands is not None and header != strands:
                     raise ValueError(f"header n={header} contradicts the strand count {strands}")
                 strands = header
             else:
-                k = int(t)
+                try:
+                    k = int(t)
+                except ValueError:
+                    raise ValueError(f"bad token {t!r} in braid word {text!r}; want a signed integer") from None
                 if k == 0:
                     raise ValueError("0 is not a braid letter")
                 word.append(k)

@@ -243,11 +243,14 @@ def parse_pd(text: str) -> Diagram:
         if line in ("O()", "O"):
             loops += 1
             continue
-        if not (line.startswith("X") and line.endswith(")")):
+        if not (line.startswith("X") and line.endswith(")") and "(" in line):
             raise ValueError(f"bad PD line: {line!r}")
         body = line[line.index("(") + 1 : -1]
         head = line[1 : line.index("(")]
-        a, b, c, d = (int(t) for t in body.replace(",", " ").split())
+        try:
+            a, b, c, d = map(int, body.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"bad PD line: {line!r}; want four integer edge labels") from None
         if head == "+":
             crossings.append(Crossing((a, b, c, d), 1))
         elif head == "-":

@@ -5,40 +5,59 @@ in the upper half-plane.  Matchings index the idempotents of the arc
 algebra; the circle diagram of a pair of matchings (one drawn above the
 line, the reflection of the other below) carries the module structure.
 
-Everything here is pure data manipulation on sorted pair tuples, so values
-are hashable and safe to share.
+Matchings are interned values: one object per matching, so equality and
+hashing are identity and every cache keyed on matchings compares pointers.
+The surgeries and circle diagrams are memoized lazily, on the matchings a
+computation reaches; no per-n table is built ahead, since C_n grows as 4^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterator
 
+# (n, sorted pairs) -> the one Matching of that value; holds one entry per
+# distinct valid matching built, so at most sum(C_n) over the n reached.
+_INTERNED: dict[tuple[int, tuple[tuple[int, int], ...]], "Matching"] = {}
 
-@dataclass(frozen=True)
+
 class Matching:
     """A non-crossing perfect pairing of the points 1..2n.
 
-    ``pairs`` is stored sorted with each pair (a, b) satisfying a < b, so
-    equal matchings compare and hash equal.
+    ``Matching(n, pairs)`` returns the canonical instance of that value,
+    whatever the order of ``pairs`` or its container type.  ``pairs`` is
+    stored sorted with each pair (a, b) satisfying a < b.  A value is
+    validated the first time it is built; an invalid one is never stored,
+    so it raises on every attempt.  Instances are immutable, and copying or
+    unpickling one gives back the canonical instance.
     """
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        pts = sorted(p for ab in self.pairs for p in ab)
-        if pts != list(range(1, 2 * self.n + 1)):
-            raise ValueError(f"pairs do not cover 1..{2*self.n} exactly once: {self.pairs}")
-        for a, b in self.pairs:
-            if not a < b:
-                raise ValueError(f"pair not sorted: {(a, b)}")
-        for a, b in self.pairs:
-            for c, d in self.pairs:
-                if a < c < b < d:
-                    raise ValueError(f"crossing pairs {(a,b)} and {(c,d)}")
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+    def __new__(cls, n: int, pairs) -> "Matching":
+        given = tuple(tuple(ab) for ab in pairs)
+        key = (n, tuple(sorted(given)))
+        self = _INTERNED.get(key)
+        if self is None:
+            _validate(n, given)
+            self = object.__new__(cls)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "pairs", key[1])
+            _INTERNED[key] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Matching, (self.n, self.pairs)
+
+    def __repr__(self) -> str:
+        return f"Matching(n={self.n!r}, pairs={self.pairs!r})"
 
     def partner(self, i: int) -> int:
         for a, b in self.pairs:
@@ -50,6 +69,19 @@ class Matching:
 
     def __str__(self) -> str:
         return format_matching(self)
+
+
+def _validate(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
+    pts = sorted(p for ab in pairs for p in ab)
+    if pts != list(range(1, 2 * n + 1)):
+        raise ValueError(f"pairs do not cover 1..{2*n} exactly once: {pairs}")
+    for a, b in pairs:
+        if not a < b:
+            raise ValueError(f"pair not sorted: {(a, b)}")
+    for a, b in pairs:
+        for c, d in pairs:
+            if a < c < b < d:
+                raise ValueError(f"crossing pairs {(a,b)} and {(c,d)}")
 
 
 def matching(*pairs: tuple[int, int]) -> Matching:
@@ -83,7 +115,9 @@ def parse_matching(text: str) -> Matching:
 
 @lru_cache(maxsize=None)
 def enumerate_matchings(n: int) -> tuple[Matching, ...]:
-    """All C_n crossingless matchings of 2n points, lexicographic order."""
+    """All C_n crossingless matchings of 2n points, lexicographic order.
+
+    Cached: one tuple of C_n matchings per n asked for."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -100,7 +134,7 @@ def enumerate_matchings(n: int) -> tuple[Matching, ...]:
                 for right in rec(outer):
                     yield ((first, points[k]),) + left + right
 
-    out = [Matching(n, tuple(sorted(ps))) for ps in rec(tuple(range(1, 2 * n + 1)))]
+    out = [Matching(n, ps) for ps in rec(tuple(range(1, 2 * n + 1)))]
     out.sort(key=lambda w: w.pairs)
     return tuple(out)
 
@@ -149,7 +183,9 @@ class CircleDiagram:
 
 @lru_cache(maxsize=None)
 def circles(w: Matching, w2: Matching) -> CircleDiagram:
-    """Trace circles by alternately following arcs of w and of w2."""
+    """Trace circles by alternately following arcs of w and of w2.
+
+    Cached: at most C_n^2 entries for each n reached."""
     if w.n != w2.n:
         raise ValueError("matchings have different sizes")
     seen: set[int] = set()
@@ -175,8 +211,13 @@ def codim(w: Matching, w2: Matching) -> int:
 
 # ---------------------------------------------------------------------------
 # cup / cap surgeries
+#
+# Each surgery is cached.  For matchings of n arcs (the larger side) there
+# are 2n-1 positions, so each cache holds at most (2n-1)*C_n entries for each
+# n reached.  A call that raises is not cached.
 
 
+@lru_cache(maxsize=None)
 def cup_insert(i: int, w: Matching) -> Matching:
     """Insert a new arc at positions (i, i+1), shifting old points up.
 
@@ -191,6 +232,7 @@ def cup_insert(i: int, w: Matching) -> Matching:
     return matching(*prs)
 
 
+@lru_cache(maxsize=None)
 def cap_apply(i: int, w: Matching) -> tuple[Matching, int]:
     """Contract points (i, i+1); returns (smaller matching, closed_circles).
 
@@ -204,7 +246,7 @@ def cap_apply(i: int, w: Matching) -> tuple[Matching, int]:
     unshift = lambda p: p if p < i else p - 2
     if (i, i + 1) in w.pairs:
         prs = [(unshift(a), unshift(b)) for a, b in w.pairs if (a, b) != (i, i + 1)]
-        return Matching(n - 1, tuple(sorted(prs))), 1
+        return Matching(n - 1, prs), 1
     p, q = w.partner(i), w.partner(i + 1)
     prs = [(a, b) for a, b in w.pairs if i not in (a, b) and i + 1 not in (a, b)]
     prs.append(tuple(sorted((p, q))))
@@ -212,6 +254,7 @@ def cap_apply(i: int, w: Matching) -> tuple[Matching, int]:
     return matching(*prs), 0
 
 
+@lru_cache(maxsize=None)
 def cupcap_through(i: int, w: Matching) -> tuple[Matching, int]:
     """cup_insert(i, .) after cap_apply(i, .): same-size matching containing
     the arc (i, i+1), plus the number of circles closed by the cap."""

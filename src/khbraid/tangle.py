@@ -39,7 +39,10 @@ from .tqft import mask_merge, mask_split
 
 @lru_cache(maxsize=None)
 def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, tuple[int, ...]]:
-    """(index of the new small circle, old circle index -> new index)."""
+    """(index of the new small circle, old circle index -> new index).
+
+    Cached: u, v have n-1 arcs and 1 <= i <= 2n-1, so at most
+    (2n-1)*C_{n-1}^2 entries for each n reached."""
     cu, cv = cup_insert(i, u), cup_insert(i, v)
     big = circles(cu, cv)
     small = big.circle_of(i)
@@ -76,6 +79,8 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
     count of C(a,b)).  capped_slots[k] is the slot carrying circle k of
     circles(cap(a), cap(b)); closed_*_slot is the slot of the circle closed
     off on that side, or None.
+
+    Cached: at most (2n-1)*C_n^2 entries for each n reached.
     """
     n = a.n
     diag = circles(a, b)

@@ -180,6 +180,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
         pd.write_text(code + "\n")
         rc, out, err = run(capsys, "oracle", "--pd", str(pd))
         assert rc == 2 and "error:" in err and out == "", code
+    # a malformed token or PD line is quoted, not reported as a Python error
+    bad_pd = {"short": "X+(1,2,3)", "letter": "X-(1,2,3,x)", "noparen": "X)"}
+    cases = [(("compute", "--braid", "n=abc 1"), "'n=abc'"), (("compute", "--braid", "n=2 1 x"), "'x'")]
+    for name, code in bad_pd.items():
+        pd = tmp_path / f"{name}.pd"
+        pd.write_text(code + "\n")
+        cases.append((("oracle", "--pd", str(pd)), repr(code)))
+    for argv, quoted in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and quoted in err, (argv, err)
+        assert "invalid literal" not in err and "unpack" not in err and "substring" not in err, err
     # a header equal to -n stays accepted
     rc, out, err = run(capsys, "compute", "--braid", "n=3 1 2", "-n", "3")
     assert rc == 0

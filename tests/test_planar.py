@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -44,10 +46,40 @@ def test_named_matchings():
 
 
 def test_matching_validation():
-    with pytest.raises(ValueError):
-        Matching(2, ((1, 3), (2, 4)))  # crossing
-    with pytest.raises(ValueError):
-        Matching(2, ((1, 2), (2, 3)))  # repeated point
+    for _attempt in range(2):  # an invalid value is never interned
+        with pytest.raises(ValueError):
+            Matching(2, ((1, 3), (2, 4)))  # crossing
+        with pytest.raises(ValueError):
+            Matching(2, ((1, 2), (2, 3)))  # repeated point
+        with pytest.raises(ValueError):
+            Matching(2, ((2, 1), (3, 4)))  # unsorted pair
+        with pytest.raises(ValueError):
+            cup_insert(4, plait(1))  # positions run 1..3; a raise is not cached
+        with pytest.raises(ValueError):
+            cap_apply(0, plait(2))
+
+
+def test_matchings_are_interned():
+    w = Matching(3, ((1, 6), (2, 3), (4, 5)))
+    assert Matching(3, ((4, 5), (1, 6), (2, 3))) is w
+    assert Matching(3, [(1, 6), [2, 3], (4, 5)]) is w
+    assert matching((6, 1), (2, 3), (5, 4)) is w
+    assert mixed(3) is w
+    assert parse_matching(str(w)) is w
+    for n in (1, 2, 3):
+        for u in enumerate_matchings(n):
+            for i in range(1, 2 * n + 2):
+                assert cap_apply(i, cup_insert(i, u))[0] is u
+    assert repr(w) == "Matching(n=3, pairs=((1, 6), (2, 3), (4, 5)))"
+    with pytest.raises(AttributeError):
+        w.n = 4
+    with pytest.raises(AttributeError):
+        w.other = 1
+    assert copy.copy(w) is w and copy.deepcopy(w) is w
+    assert pickle.loads(pickle.dumps(w)) is w
+    assert pickle.loads(pickle.dumps([w, plait(2)])) == [w, plait(2)]
+    assert w.partner(1) == 6 and w.partner(3) == 2
+    assert w == w and w != plait(3) and len({w, mixed(3), plait(3)}) == 2
 
 
 def test_circles_examples():

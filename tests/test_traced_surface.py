@@ -38,3 +38,13 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
     # one cone and one chain-map check per letter: the unit or counit checks
     # its map, and the cone's own d^2 check is the only other guard
     assert calls["homalg.cone"] == calls["homalg.is_chain_map"] == 2
+
+
+def test_traced_caches_expose_cache_info():
+    # the bench worker reports a cache it cannot find as absent rather than
+    # failing, so a renamed cache would silently drop its traced metrics
+    for mod, attr in (("planar", "circles"), ("arcalg", "_mult_schedule"),
+                      ("tangle", "_saddle_schedule"), ("tangle", "_cup_circle_map")):
+        cache = getattr(importlib.import_module(f"khbraid.{mod}"), attr, None)
+        assert callable(getattr(cache, "cache_info", None)), (mod, attr)
+        assert cache.cache_info().currsize >= 0
