@@ -7,8 +7,12 @@ each contraction merges two circles or splits one, and the Frobenius
 algebra V says what happens to labels.
 
 The merge/split pattern of a triple (u, v, w) does not depend on labels, so
-it is computed once as a "schedule" and cached; executing a schedule on
-int-mask labelings is cheap enough for the exhaustive n <= 4 test suites.
+it is computed once as a "schedule" and cached together with a table of
+basis products.  The product of two basis labelings is computed by running
+the schedule on that one pair the first time it is asked for, and read from
+the table after that; a product of combinations adds up table entries.  The
+cache holds at most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used
+first out, and each triple's table at most 2^(c(u,v) + c(v,w)) products.
 """
 
 from __future__ import annotations
@@ -122,10 +126,6 @@ class ArcCombination:
         return self.qdegs() <= {q}
 
 
-def zero(source: Matching, target: Matching) -> ArcCombination:
-    return ArcCombination(source, target, {})
-
-
 def min_generator(source: Matching, target: Matching) -> ArcElement:
     """The all-1 labeling, lowest degree element of its block."""
     return ArcElement(source, target, 0)
@@ -140,20 +140,30 @@ def idempotent(w: Matching) -> ArcCombination:
 # multiplication
 
 
-@lru_cache(maxsize=None)
-def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None = None):
+_MULT_SCHEDULE_MAXSIZE = 1 << 13
+
+
+@lru_cache(maxsize=_MULT_SCHEDULE_MAXSIZE)
+def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None):
     """Surgery schedule contracting the middle v between (u,v) and (v,w).
 
-    Returns (n_bottom_circles, ops, finals): ops is a sequence of
+    Returns (n_bottom_circles, ops, finals, table): ops is a sequence of
     ("m", s1, s2, dst) / ("s", src, d1, d2) acting on slot ids, where the
     bottom diagram's circles start as slots 0..cb-1 and the top diagram's as
     cb..cb+ct-1; finals[k] is the slot holding circle k of circles(u, w).
+    table starts empty; `multiply_into` stores in it, under the key
+    ma | mb << cb, the product of the basis labelings ma of (u, v) and mb
+    of (v, w) as a tuple of (mask, coeff) pairs.  The table is shared by
+    every caller and mutated by design: it is a cache, not a value.
 
-    ``order`` overrides the default left-endpoint order of the contracted
-    arcs; any order gives the same products (a tested property).
+    ``order`` is None for the left-endpoint order of the contracted arcs,
+    or overrides it; any order gives the same products (a tested property).
+    It has no default, so every call names it and shares one cache key.
 
-    Cached: at most C_n^3 entries for each n reached (times the orders a
-    caller passes; the product itself passes none).
+    Bounded: at most _MULT_SCHEDULE_MAXSIZE triples, least recently used
+    evicted first with their tables (a word on 4-6 strands reaches a few
+    thousand; the exhaustive positivity scan at n = 5 reaches 74 088), and
+    at most 2^(c(u,v) + c(v,w)) products in one table.
     """
     n = u.n
     bot = circles(u, v)
@@ -241,7 +251,7 @@ def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None = 
 
     out = circles(u, w)
     finals = tuple(slot_of[B(circ[0])] for circ in out.circles)
-    return cb, ops, finals
+    return cb, ops, finals, {}
 
 
 def _execute(state: dict[int, int], ops, finals) -> dict[int, int]:
@@ -260,23 +270,38 @@ def _execute(state: dict[int, int], ops, finals) -> dict[int, int]:
     return out
 
 
+def multiply_into(
+    acc: dict[int, int], b: ArcCombination, a: ArcCombination, k: int = 1, order: tuple | None = None
+) -> None:
+    """Add k * (b*a) into acc, a {mask: coeff} dict of the block (u, w).
+
+    a lies in block (u,v) and b in (v,w); mismatched middle matchings
+    multiply to zero, so nothing is added.  Coefficients that cancel are
+    left in acc as zeros.
+    """
+    if a.target != b.source:
+        return
+    cb, ops, finals, table = _mult_schedule(a.source, a.target, b.target, order)
+    get = acc.get
+    for ma, ca in a.terms.items():
+        for mb, cbf in b.terms.items():
+            key = ma | mb << cb
+            prod = table.get(key)
+            if prod is None:
+                prod = table[key] = tuple(_execute({key: 1}, ops, finals).items())
+            scale = k * ca * cbf
+            for m, p in prod:
+                acc[m] = get(m, 0) + scale * p
+
+
 def multiply(b: ArcCombination, a: ArcCombination, order: tuple | None = None) -> ArcCombination:
     """Product b*a for a in block (u,v), b in block (v,w); lands in (u,w).
 
     Mismatched middle matchings multiply to zero (orthogonal idempotents).
     """
-    if a.target != b.source:
-        return zero(a.source, b.target)
-    u, v, w = a.source, a.target, b.target
-    cb, ops, finals = _mult_schedule(u, v, w, order)
-    state: dict[int, int] = {}
-    for ma, ca in a.terms.items():
-        for mb, cbf in b.terms.items():
-            key = ma | (mb << cb)
-            state[key] = state.get(key, 0) + ca * cbf
-    if not state:
-        return zero(u, w)
-    return ArcCombination(u, w, _execute(state, ops, finals))
+    acc: dict[int, int] = {}
+    multiply_into(acc, b, a, 1, order)
+    return ArcCombination(a.source, b.target, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +392,14 @@ def verify_positivity(n: int) -> dict:
         for v in ms:
             xs = block_basis(u, v)
             for w in ms:
-                ys = block_basis(v, w)
+                ys = [(y, ArcCombination.from_element(y)) for y in block_basis(v, w)]
                 for x in xs:
                     cx = ArcCombination.from_element(x)
-                    for y in ys:
-                        p = multiply(ArcCombination.from_element(y), cx)
+                    for y, cy in ys:
+                        p: dict[int, int] = {}
+                        multiply_into(p, cy, cx)
                         scanned += 1
-                        bad = {m: c for m, c in p.terms.items() if c < 0}
+                        bad = {m: c for m, c in p.items() if c < 0}
                         if bad:
                             negatives.append({"left": _el_json(y), "right": _el_json(x), "bad": bad})
     return {"n": n, "products_scanned": scanned, "negatives": negatives, "ok": not negatives}

@@ -96,7 +96,11 @@ def cmd_oracle(args) -> int:
     coeffs = _coeffs(args)
     if args.pd:
         try:
-            text = sys.stdin.read() if args.pd == "-" else open(args.pd).read()
+            if args.pd == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.pd) as fh:
+                    text = fh.read()
             diagram = parse_pd(text)
             H = cube_homology(diagram, coeffs)  # rejects a non-planar code
         except (OSError, ValueError) as e:
@@ -195,6 +199,16 @@ def cmd_arc_dump(args) -> int:
     return 0
 
 
+def _verify_strands(n: int | None, kind: str) -> None:
+    """Accept 1 <= n <= 5.  At n = 5 each scan takes under a minute and a
+    half on a 2-core Xeon; n = 6 has 132 matchings instead of 42 and 52
+    times as many structure constants."""
+    if n is None or n < 1:
+        raise InputError("-n is required and must be >= 1")
+    if n > 5:
+        raise InputError(f"verify {kind} runs only for n <= 5")
+
+
 def cmd_verify(args) -> int:
     kind = args.what
     if kind == "markov":
@@ -210,12 +224,10 @@ def cmd_verify(args) -> int:
         subs = [verify_skein(b, c, coeffs) for c in crossings]
         report = {"word": b.format(), "crossings": subs, "ok": all(s["ok"] for s in subs)}
     elif kind == "braid-relations":
-        if args.n is None or args.n < 1:
-            raise InputError("-n is required and must be >= 1")
+        _verify_strands(args.n, "braid-relations")
         report = verify_braid_relations(args.n)
     elif kind == "positivity":
-        if args.n is None or args.n < 1:
-            raise InputError("-n is required and must be >= 1")
+        _verify_strands(args.n, "positivity")
         report = verify_positivity(args.n)
         if args.output and args.output != "-":
             emit(report, args.output)  # a path that cannot be written exits 2 before the verdict

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .planar import Matching, circles
-from .arcalg import ArcCombination, multiply, idempotent
+from .arcalg import ArcCombination, multiply, multiply_into, idempotent
 from .tqft import mask_qdeg
 
 
@@ -89,7 +89,7 @@ class ModuleMap:
         """self after other (matrix product via the surgery product)."""
         if other.target != self.source:
             raise ValueError("compose: mismatched middles")
-        acc: dict[tuple[int, int], ArcCombination] = {}
+        acc: dict[tuple[int, int], dict[int, int]] = {}
         by_col: dict[int, list[tuple[int, ArcCombination]]] = {}
         for (k, c), g in other.entries.items():
             by_col.setdefault(c, []).append((k, g))
@@ -98,26 +98,17 @@ class ModuleMap:
             by_row.setdefault(k, []).append((r, f))
         for c, lows in by_col.items():
             for k, g in lows:
-                for r, f in by_row.get(k, []):
-                    term = multiply(f, g)
-                    if not term:
-                        continue
-                    if (r, c) in acc:
-                        acc[(r, c)] = acc[(r, c)] + term
-                    else:
-                        acc[(r, c)] = term
-        return ModuleMap(other.source, self.target, acc)
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("add: shape mismatch")
-        entries = dict(self.entries)
-        for rc, g in other.entries.items():
-            entries[rc] = entries[rc] + g if rc in entries else g
-        return ModuleMap(self.source, self.target, entries)
-
-    def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, {rc: -g for rc, g in self.entries.items()})
+                for r, f in by_row.get(k, ()):
+                    terms = acc.get((r, c))
+                    if terms is None:
+                        terms = acc[(r, c)] = {}
+                    multiply_into(terms, f, g)
+        src, tgt = other.source, self.target
+        return ModuleMap(src, tgt, {
+            (r, c): ArcCombination(src[c].matching, tgt[r].matching, terms)
+            for (r, c), terms in acc.items()
+            if any(terms.values())
+        })
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -193,17 +184,9 @@ def is_chain_map(f: dict[int, ModuleMap], C: Complex, D: Complex) -> bool:
     for h in set(C.terms) | set(D.terms):
         fh = f.get(h)
         fh1 = f.get(h + 1)
-        lhs = fh1.compose(C.differential(h)) if fh1 else None
-        rhs = D.differential(h).compose(fh) if fh else None
-        if lhs is None and rhs is None:
-            continue
-        if lhs is None:
-            if not rhs.is_zero():
-                return False
-        elif rhs is None:
-            if not lhs.is_zero():
-                return False
-        elif not (lhs + (-rhs)).is_zero():
+        lhs = fh1.compose(C.differential(h)).entries if fh1 else {}
+        rhs = D.differential(h).compose(fh).entries if fh else {}
+        if lhs != rhs:  # entries hold no zeros, so equal maps have equal dicts
             return False
     return True
 
@@ -313,11 +296,15 @@ def eliminate(C: Complex) -> Complex:
             row = rows_h[r]
             g_r = row.pop(pc)
             for c, g_c in delta.items():
-                corr = multiply(g_r, g_c)
-                if not corr:
+                corr: dict[int, int] = {}
+                multiply_into(corr, g_r, g_c, -s)
+                if not any(corr.values()):
                     continue
-                corr = (-s) * corr
-                new = row[c] + corr if c in row else corr
+                old = row.get(c)
+                if old is not None:
+                    for m, v in old.terms.items():
+                        corr[m] = corr.get(m, 0) + v
+                new = ArcCombination(g_c.source, g_r.target, corr)
                 if not new:
                     del row[c]
                     cols_h[c].discard(r)

@@ -4,8 +4,11 @@ import random
 import pytest
 
 from khbraid.arcalg import (
+    _MULT_SCHEDULE_MAXSIZE,
     ArcCombination,
     ArcElement,
+    _execute,
+    _mult_schedule,
     block_basis,
     center_action,
     dim_hn,
@@ -110,6 +113,91 @@ def test_surgery_order_independence():
             order = list(v.pairs)
             rng.shuffle(order)
             assert multiply(y, x, order=tuple(order)) == base
+
+
+def reference_product(b, a):
+    """b*a by running the surgery schedule on the whole state at once,
+    bypassing the basis-product table."""
+    if a.target != b.source:
+        return ArcCombination(a.source, b.target, {})
+    cb, ops, finals, _table = _mult_schedule(a.source, a.target, b.target, None)
+    state = {}
+    for ma, ca in a.terms.items():
+        for mb, cbf in b.terms.items():
+            key = ma | mb << cb
+            state[key] = state.get(key, 0) + ca * cbf
+    return ArcCombination(a.source, b.target, _execute(state, ops, finals))
+
+
+def test_table_products_match_the_schedule_on_every_basis_pair():
+    _mult_schedule.cache_clear()
+    for warm in (False, True):
+        for n in (1, 2, 3):
+            ms = enumerate_matchings(n)
+            for u, v, w in itertools.product(ms, repeat=3):
+                for x in all_basis_combinations(u, v):
+                    for y in all_basis_combinations(v, w):
+                        assert multiply(y, x) == reference_product(y, x), (warm, u, v, w)
+        info = _mult_schedule.cache_info()
+        assert info.currsize == sum(len(enumerate_matchings(n)) ** 3 for n in (1, 2, 3))
+    assert info.maxsize == _MULT_SCHEDULE_MAXSIZE
+    # the second pass read every product from the tables
+    assert all(len(_mult_schedule(u, v, w, None)[3]) == 2 ** (circles(u, v).c + circles(v, w).c)
+               for u, v, w in itertools.product(enumerate_matchings(3), repeat=3))
+
+
+def random_combination(rng, u, v, terms=3):
+    basis = block_basis(u, v)
+    picks = rng.sample(basis, min(terms, len(basis)))
+    return ArcCombination(u, v, {el.mask: rng.choice((-3, -2, -1, 1, 2, 5)) for el in picks})
+
+
+def cancelling_pair(rng, ms):
+    """(y, x1 - x2) with y*x1 == y*x2 != 0, so the product cancels to zero."""
+    while True:
+        u, v, w = (rng.choice(ms) for _ in range(3))
+        y = comb(min_generator(v, w))
+        seen = {}
+        for x in all_basis_combinations(u, v):
+            p = reference_product(y, x)
+            if p and p in seen:
+                x1 = seen[p].terms
+                return y, ArcCombination(u, v, {**x1, **{m: -c for m, c in x.terms.items()}})
+            seen.setdefault(p, x)
+
+
+def test_table_products_match_the_schedule_n4_cold_warm_and_evicted():
+    rng = random.Random(4)
+    ms = enumerate_matchings(4)
+    cases = []
+    for _ in range(60):
+        u, v, w = (rng.choice(ms) for _ in range(3))
+        cases.append((random_combination(rng, v, w), random_combination(rng, u, v)))
+    y, x = cancelling_pair(rng, ms)
+    assert not reference_product(y, x) and len(x.terms) == 2
+    cases.append((y, x))
+    u, v = ms[0], ms[1]
+    cases.append((random_combination(rng, u, u), random_combination(rng, u, v)))  # v != u: zero
+    expected = [reference_product(b, a) for b, a in cases]
+    assert not expected[-1] and not expected[-2] and sum(bool(e) for e in expected) > 30
+
+    _mult_schedule.cache_clear()
+    assert [multiply(b, a) for b, a in cases] == expected  # cold
+    assert [multiply(b, a) for b, a in cases] == expected  # warm
+    b0, a0 = cases[0]
+    table = _mult_schedule(a0.source, a0.target, b0.target, None)[3]
+    assert table
+    # fill the cache past its bound with triples on 5 strands; every n = 4
+    # triple, and its table, is evicted
+    for k, (p, q, r) in enumerate(itertools.product(enumerate_matchings(5), repeat=3)):
+        if k == _MULT_SCHEDULE_MAXSIZE:
+            break
+        _mult_schedule(p, q, r, None)
+    assert _mult_schedule.cache_info().currsize == _MULT_SCHEDULE_MAXSIZE
+    misses = _mult_schedule.cache_info().misses
+    assert _mult_schedule(a0.source, a0.target, b0.target, None)[3] is not table
+    assert _mult_schedule.cache_info().misses == misses + 1
+    assert [multiply(b, a) for b, a in cases] == expected  # after eviction
 
 
 def test_center_action_examples():

@@ -157,6 +157,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--crossing", "5"),
         ("verify", "braid-relations", "-n", "0"),
         ("verify", "positivity", "-n", "0"),
+        # the exhaustive scans are refused above the strand count they finish at
+        ("verify", "braid-relations", "-n", "6"),
+        ("verify", "positivity", "-n", "6"),
         # a --source / --target matching must have -n arcs
         ("arc-dump", "-n", "2", "--source", "(1 2)(3 4)(5 6)"),
         ("arc-dump", "-n", "2", "--target", "(1 2)"),
