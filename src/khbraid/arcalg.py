@@ -8,11 +8,15 @@ algebra V says what happens to labels.
 
 The merge/split pattern of a triple (u, v, w) does not depend on labels, so
 it is computed once as a "schedule" and cached together with a table of
-basis products.  The product of two basis labelings is computed by running
-the schedule on that one pair the first time it is asked for, and read from
-the table after that; a product of combinations adds up table entries.  The
-cache holds at most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used
-first out, and each triple's table at most 2^(c(u,v) + c(v,w)) products.
+basis products.  `_surgery_schedule` is the one builder of such schedules:
+it follows the circles of a diagram through a run of saddles, here the
+contractions of v's arcs and in `khbraid.tangle` the single saddle of the
+cup∘cap functor, and `_execute` runs every schedule on labelings.  The
+product of two basis labelings is computed by running the schedule on that
+one pair the first time it is asked for, and read from the table after
+that; a product of combinations adds up table entries.  The cache holds at
+most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
+and each triple's table at most 2^(c(u,v) + c(v,w)) products.
 """
 
 from __future__ import annotations
@@ -140,6 +144,62 @@ def idempotent(w: Matching) -> ArcCombination:
 # multiplication
 
 
+def _surgery_schedule(arcs, saddles):
+    """Merge/split schedule of a run of saddles on a disjoint union of circles.
+
+    ``arcs`` joins nodes in pairs, each node on exactly two arcs, so the
+    components are circles; they start in slots 0, 1, ... in the order of
+    their least node.  A saddle (p, q, r, s) replaces the arcs (p, q) and
+    (r, s) by (p, r) and (q, s): it merges the circles of p and r, or
+    splits their common circle into the halves through p and through q.
+    Every result goes to a fresh slot.
+
+    Returns (ops, slot_of): ops is a list of ("m", s1, s2, dst) /
+    ("s", src, d1, d2) for `_execute`, where d1 holds the half through p;
+    slot_of maps every node to the slot of its circle after the last saddle.
+    """
+    nbr: dict[int, list[int]] = {}
+    for x, y in arcs:
+        nbr.setdefault(x, []).append(y)
+        nbr.setdefault(y, []).append(x)
+
+    def component(start: int) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in nbr[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    slot_of: dict[int, int] = {}
+    slots = 0
+    for x in sorted(nbr):
+        if x not in slot_of:
+            slot_of.update(dict.fromkeys(component(x), slots))
+            slots += 1
+    ops: list[tuple] = []
+    for p, q, r, s in saddles:
+        for x, y in ((p, q), (r, s)):
+            nbr[x].remove(y)
+            nbr[y].remove(x)
+        for x, y in ((p, r), (q, s)):
+            nbr[x].append(y)
+            nbr[y].append(x)
+        halves = [component(p)]
+        if slot_of[p] != slot_of[r]:
+            ops.append(("m", slot_of[p], slot_of[r], slots))
+        else:
+            assert q not in halves[0], "surgery on one circle must split it in two"
+            ops.append(("s", slot_of[p], slots, slots + 1))
+            halves.append(component(q))
+        for half in halves:
+            slot_of.update(dict.fromkeys(half, slots))
+            slots += 1
+    return ops, slot_of
+
+
 _MULT_SCHEDULE_MAXSIZE = 1 << 13
 
 
@@ -165,93 +225,17 @@ def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None):
     thousand; the exhaustive positivity scan at n = 5 reaches 74 088), and
     at most 2^(c(u,v) + c(v,w)) products in one table.
     """
+    # bottom points 1..2n are nodes 0..2n-1, top points nodes 2n..4n-1; an
+    # arc of v contracts by joining each of its ends to its copy
     n = u.n
-    bot = circles(u, v)
-    top = circles(v, w)
-    cb = bot.c
-
-    # multigraph: bottom points 0..2n-1, top points 2n..4n-1
     B = lambda p: p - 1
     T = lambda p: 2 * n + p - 1
-    edges: dict[int, tuple[int, int]] = {}
-    adj: dict[int, set[int]] = {q: set() for q in range(4 * n)}
-    eid = 0
-
-    def add_edge(a: int, b: int) -> int:
-        nonlocal eid
-        edges[eid] = (a, b)
-        adj[a].add(eid)
-        adj[b].add(eid)
-        eid += 1
-        return eid - 1
-
-    def del_edge(e: int):
-        a, b = edges.pop(e)
-        adj[a].discard(e)
-        adj[b].discard(e)
-
-    for a, b in u.pairs:
-        add_edge(B(a), B(b))
-    v_bot = {ab: add_edge(B(ab[0]), B(ab[1])) for ab in v.pairs}
-    v_top = {ab: add_edge(T(ab[0]), T(ab[1])) for ab in v.pairs}
-    for a, b in w.pairs:
-        add_edge(T(a), T(b))
-
-    def component(start: int) -> frozenset[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            q = stack.pop()
-            for e in adj[q]:
-                x, y = edges[e]
-                for z in (x, y):
-                    if z not in seen:
-                        seen.add(z)
-                        stack.append(z)
-        return frozenset(seen)
-
-    slot_of: dict[int, int] = {}
-    members: dict[int, set[int]] = {}
-    for k, circ in enumerate(bot.circles):
-        members[k] = {B(p) for p in circ}
-    for k, circ in enumerate(top.circles):
-        members[cb + k] = {T(p) for p in circ}
-    for s, mem in members.items():
-        for q in mem:
-            slot_of[q] = s
-    next_slot = cb + top.c
-
-    ops: list[tuple] = []
-    for p, q in order if order is not None else sorted(v.pairs):
-        del_edge(v_bot[(p, q)])
-        del_edge(v_top[(p, q)])
-        add_edge(B(p), T(p))
-        add_edge(B(q), T(q))
-        sb, st = slot_of[B(p)], slot_of[T(p)]
-        if sb != st:
-            dst = next_slot
-            next_slot += 1
-            ops.append(("m", sb, st, dst))
-            mem = members.pop(sb) | members.pop(st)
-            members[dst] = mem
-            for z in mem:
-                slot_of[z] = dst
-        else:
-            comp1 = set(component(B(p)))
-            comp2 = members.pop(sb) - comp1
-            assert comp2, "surgery on one circle must split it in two"
-            d1, d2 = next_slot, next_slot + 1
-            next_slot += 2
-            ops.append(("s", sb, d1, d2))
-            members[d1], members[d2] = comp1, comp2
-            for z in comp1:
-                slot_of[z] = d1
-            for z in comp2:
-                slot_of[z] = d2
-
-    out = circles(u, w)
-    finals = tuple(slot_of[B(circ[0])] for circ in out.circles)
-    return cb, ops, finals, {}
+    arcs = [(B(p), B(q)) for p, q in u.pairs + v.pairs]
+    arcs += [(T(p), T(q)) for p, q in v.pairs + w.pairs]
+    saddles = [(B(p), B(q), T(p), T(q)) for p, q in (v.pairs if order is None else order)]
+    ops, slot_of = _surgery_schedule(arcs, saddles)
+    finals = tuple(slot_of[B(circ[0])] for circ in circles(u, w).circles)
+    return circles(u, v).c, ops, finals, {}
 
 
 def _execute(state: dict[int, int], ops, finals) -> dict[int, int]:

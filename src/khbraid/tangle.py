@@ -13,7 +13,11 @@ Morphisms transform by a single saddle surgery at (i, i+1) on their circle
 diagrams; closed-circle labels on the source side select the summand by the
 Frobenius pairing (label x feeds the 1-summand and vice versa), on the
 target side directly.  The result is re-embedded by the cup at (i, i+1),
-a strict algebra embedding with the new circle labeled 1.
+a strict algebra embedding with the new circle labeled 1.  Saddle and cup
+are one schedule, built by `arcalg._surgery_schedule` and run by
+`arcalg._execute` like a product's: it lands in the block of the
+cupcap_through images and carries the closed-circle labels in two extra
+high bits.
 
 Unit and counit act on a cup-containing summand by the identity into/out of
 the x-labeled summand and by multiplication with the degree-2 center
@@ -27,10 +31,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through, enumerate_matchings
-from .arcalg import ArcCombination, idempotent
+from .arcalg import ArcCombination, _execute, _surgery_schedule, idempotent
 from .homalg import Complex, ModuleMap, ProjSummand, cone, is_chain_map
 from .homalg import eliminate, homology, idempotent_truncate
-from .tqft import mask_merge, mask_split
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +57,11 @@ def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, tuple[int, .
 
 def _cup_entry(i: int, g: ArcCombination) -> ArcCombination:
     """Kunneth embedding of a block element: new (i,i+1) circle labeled 1."""
-    small, remap = _cup_circle_map(i, g.source, g.target)
-    terms: dict[int, int] = {}
-    for m, c in g.terms.items():
-        mm = 0
-        for k, kk in enumerate(remap):
-            if m >> k & 1:
-                mm |= 1 << kk
-        terms[mm] = terms.get(mm, 0) + c
+    _small, remap = _cup_circle_map(i, g.source, g.target)
+    finals = [len(remap)] * (len(remap) + 1)  # the small circle reads an unset bit
+    for k, kk in enumerate(remap):
+        finals[kk] = k
+    terms = _execute(dict(g.terms), (), finals)
     return ArcCombination(cup_insert(i, g.source), cup_insert(i, g.target), terms)
 
 
@@ -71,105 +71,38 @@ def _cup_entry(i: int, g: ArcCombination) -> ArcCombination:
 
 @lru_cache(maxsize=None)
 def _saddle_schedule(a: Matching, b: Matching, i: int):
-    """Combinatorics of the (i, i+1) saddle on C(a, b).
+    """The (i, i+1) saddle on C(a, b) as (ops, finals) for `_execute`.
 
-    Returns (op, capped_slots, closed_a_slot, closed_b_slot) where slots
-    index the components after surgery: circle k of C(a,b) keeps slot k if
-    untouched; a merge creates slot c, a split slots c, c+1 (c = circle
-    count of C(a,b)).  capped_slots[k] is the slot carrying circle k of
-    circles(cap(a), cap(b)); closed_*_slot is the slot of the circle closed
-    off on that side, or None.
+    Running it on the labelings of C(a, b) lands in C(a', b'), where a', b'
+    are the cupcap_through images: finals[k] for k < c = c(a', b') is the
+    slot of circle k there, and the new (i, i+1) circle reads a slot that
+    no op writes, so it stays labeled 1.  finals[c] and finals[c + 1] carry
+    the labels of the circles closed off on the a and b side (an unwritten
+    slot, so 0, when that side closes none).
 
     Cached: at most (2n-1)*C_n^2 entries for each n reached.
     """
+    # nodes 0..2n-1 are the points of a, 2n..4n-1 those of b; C(a, b) joins
+    # each point to its copy, and the saddle cuts points i, i+1 apart
     n = a.n
-    diag = circles(a, b)
-    c = diag.c
-
-    def node_a(p):
-        return (p, "a") if p in (i, i + 1) else p
-
-    def node_b(p):
-        return (p, "b") if p in (i, i + 1) else p
-
-    adj: dict[object, list[object]] = {}
-
-    def link(x, y):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-
-    for p, q in a.pairs:
-        link(node_a(p), node_a(q))
-    for p, q in b.pairs:
-        link(node_b(p), node_b(q))
-    link((i, "a"), (i + 1, "a"))
-    link((i, "b"), (i + 1, "b"))
-
-    def component(start) -> frozenset:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
-
-    s_i, s_i1 = diag.circle_of(i), diag.circle_of(i + 1)
-    slot_of_node: dict[object, int] = {}
-    if s_i != s_i1:
-        op = ("m", s_i, s_i1, c)
-        touched = {s_i, s_i1}
-        new_slots = {frozenset(component(node_a(i))): c}
-    else:
-        comp1 = component((i, "a"))
-        comp2 = component((i, "b"))
-        assert comp1 != comp2, "saddle on one circle must split it"
-        op = ("s", s_i, c, c + 1)
-        touched = {s_i}
-        new_slots = {comp1: c, comp2: c + 1}
-    for comp, slot in new_slots.items():
-        for x in comp:
-            slot_of_node[x] = slot
-    for k, circ in enumerate(diag.circles):
-        if k in touched:
-            continue
-        for p in circ:
-            for nd in (node_a(p), node_b(p)):
-                slot_of_node[nd] = k
-
+    B = lambda p: p - 1
+    T = lambda p: 2 * n + p - 1
+    arcs = [(B(p), B(q)) for p, q in a.pairs] + [(T(p), T(q)) for p, q in b.pairs]
+    arcs += [(B(p), T(p)) for p in range(1, 2 * n + 1)]
+    ops, slot_of = _surgery_schedule(arcs, [(B(i), T(i), B(i + 1), T(i + 1))])
+    blank = ops[0][-1] + 1  # one past the last slot the saddle writes
     a_down, _ = cap_apply(i, a)
     b_down, _ = cap_apply(i, b)
-    down = circles(a_down, b_down)
+    _small, remap = _cup_circle_map(i, a_down, b_down)
+    finals = [blank] * (len(remap) + 3)
     unshifted = lambda p: p if p < i else p + 2
-    capped_slots = tuple(slot_of_node[unshifted(circ[0])] for circ in down.circles)
-    closed_a = slot_of_node[(i, "a")] if (i, i + 1) in a.pairs else None
-    closed_b = slot_of_node[(i, "b")] if (i, i + 1) in b.pairs else None
-    return op, capped_slots, closed_a, closed_b
-
-
-def _saddle_terms(a: Matching, b: Matching, i: int, g: ArcCombination):
-    """Apply the saddle to every term of g.
-
-    Yields (big_mask, p_bit, q_bit, coeff): big_mask labels circles of
-    circles(cap a, cap b); p_bit / q_bit are the labels (1 = x) of the
-    circles closed off on the a / b side, or None.
-    """
-    op, capped_slots, closed_a, closed_b = _saddle_schedule(a, b, i)
-    state = dict(g.terms)
-    if op[0] == "m":
-        state = mask_merge(state, 1 << op[1], 1 << op[2], 1 << op[3])
-    else:
-        state = mask_split(state, 1 << op[1], 1 << op[2], 1 << op[3])
-    for mask, coeff in state.items():
-        big = 0
-        for k, slot in enumerate(capped_slots):
-            if mask >> slot & 1:
-                big |= 1 << k
-        p = (mask >> closed_a) & 1 if closed_a is not None else None
-        q = (mask >> closed_b) & 1 if closed_b is not None else None
-        yield big, p, q, coeff
+    for circ, k in zip(circles(a_down, b_down).circles, remap):
+        finals[k] = slot_of[B(unshifted(circ[0]))]
+    if (i, i + 1) in a.pairs:
+        finals[-2] = slot_of[B(i)]
+    if (i, i + 1) in b.pairs:
+        finals[-1] = slot_of[T(i)]
+    return ops, tuple(finals)
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +110,27 @@ def _saddle_terms(a: Matching, b: Matching, i: int, g: ArcCombination):
 
 
 def _transformed_components(
-    i: int, a: Matching, b: Matching, g: ArcCombination
+    i: int, g: ArcCombination
 ) -> dict[tuple[int | None, int | None], ArcCombination]:
     """Saddle transform of g, split into (source label, target label) parts.
 
     The source circle label p addresses the summand with the complementary
     label (Frobenius pairing), so components are keyed by u = 1 - p there;
-    the target label keys directly.  The entries are re-embedded into
-    blocks over the resurgered matchings with the new (i,i+1) circle
-    labeled 1.
+    the target label keys directly, and a side that closes no circle keys
+    None.  Each part lies in the block of the cupcap_through images, with
+    the new (i,i+1) circle labeled 1; a part may be zero.
     """
-    a_down, _ = cap_apply(i, a)
-    b_down, _ = cap_apply(i, b)
+    a, b = g.source, g.target
+    ops, finals = _saddle_schedule(a, b, i)
+    c = len(finals) - 2
+    closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
-    for big, p, q, coeff in _saddle_terms(a, b, i, g):
-        u = (1 - p) if p is not None else None
-        d = comps.setdefault((u, q), {})
-        d[big] = d.get(big, 0) + coeff
-    out = {}
-    for key, terms in comps.items():
-        gg = _cup_entry(i, ArcCombination(a_down, b_down, terms))
-        if gg:
-            out[key] = gg
-    return out
+    for m, coeff in _execute(dict(g.terms), ops, finals).items():
+        u = 1 - (m >> c & 1) if closes_a else None
+        v = m >> (c + 1) & 1 if closes_b else None
+        comps.setdefault((u, v), {})[m & ((1 << c) - 1)] = coeff
+    a_up, b_up = cupcap_through(i, a)[0], cupcap_through(i, b)[0]
+    return {key: ArcCombination(a_up, b_up, terms) for key, terms in comps.items()}
 
 
 def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int]]]]:
@@ -209,7 +140,7 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
     (in label order 1, x when the cap closes a circle).
     """
     terms: dict[int, tuple[ProjSummand, ...]] = {}
-    images: dict[int, list[list[tuple[int, int | None]]]] = {}  # (flat index, label)
+    images: dict[int, list[dict[int | None, int]]] = {}  # label -> flat index
     for h, summands in C.terms.items():
         flat: list[ProjSummand] = []
         images[h] = []
@@ -217,22 +148,18 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
             through, closed = cupcap_through(i, s.matching)
             # the closed circle's label 1 shifts up, label x down
             shifts = ((s.qshift + 1, 0), (s.qshift - 1, 1)) if closed else ((s.qshift, None),)
-            images[h].append([(len(flat) + k, u) for k, (_q, u) in enumerate(shifts)])
+            images[h].append({u: len(flat) + k for k, (_q, u) in enumerate(shifts)})
             flat.extend(ProjSummand(through, q) for q, _u in shifts)
         terms[h] = tuple(flat)
     diffs: dict[int, ModuleMap] = {}
     for h, d in C.diffs.items():
         entries: dict[tuple[int, int], ArcCombination] = {}
         for (r, c), g in d.entries.items():
-            a = C.terms[h][c].matching
-            b = C.terms[h + 1][r].matching
-            for (u, v), gg in _transformed_components(i, a, b, g).items():
-                for sp, su in images[h][c]:
-                    for tp, tv in images[h + 1][r]:
-                        if su == u and tv == v:
-                            entries[(tp, sp)] = entries[(tp, sp)] + gg if (tp, sp) in entries else gg
+            src, tgt = images[h][c], images[h + 1][r]
+            for (u, v), gg in _transformed_components(i, g).items():
+                entries[(tgt[v], src[u])] = gg
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
-    layout = {h: [[p for p, _u in img] for img in imgs] for h, imgs in images.items()}
+    layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
     return Complex(terms, diffs, check=False), layout
 
 

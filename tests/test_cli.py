@@ -104,6 +104,18 @@ def test_compute_table_mode(capsys):
     assert "j\\i" in out and "Z/2" in out
 
 
+def test_table_mode_writes_to_output_path(capsys, tmp_path):
+    for cmd in ("compute", "oracle"):
+        rc, table, _ = run(capsys, cmd, "--braid", "1 1 1", "-n", "2", "--table")
+        assert rc == 0
+        path = tmp_path / f"{cmd}.txt"
+        rc, out, _ = run(capsys, cmd, "--braid", "1 1 1", "-n", "2", "--table", "-o", str(path))
+        assert rc == 0 and out == "" and path.read_text() == table
+        missing = tmp_path / "missing" / "t.txt"
+        rc, out, err = run(capsys, cmd, "--braid", "1 1 1", "-n", "2", "--table", "-o", str(missing))
+        assert rc == 2 and out == "" and "error:" in err and not missing.parent.exists()
+
+
 def test_oracle_subcommand_braid_and_pd(tmp_path, capsys):
     rc, out, _ = run(capsys, "oracle", "--braid", "1 1 1", "-n", "2")
     assert rc == 0
@@ -167,6 +179,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("compute", "--braid", "n=2 1", "-o", str(tmp_path / "missing" / "x.json")),
         ("verify", "positivity", "-n", "2", "-o", str(tmp_path / "missing" / "y")),
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F4"),
+        # more strands than the braid commands finish on, however given
+        ("compute", "--braid", "n=99999999999999999999 1"),
+        ("compute", "--braid", "1", "-n", "17"),
+        ("oracle", "--braid", "n=17 1"),
+        ("compare", "--braid", "n=17 1"),
+        ("verify", "markov", "--braid", "n=17 1"),
+        ("verify", "skein", "--braid", "n=17 1"),
         # a strand count that contradicts itself
         ("compute", "--braid", "n=2 1", "-n", "3"),
         ("compute", "--braid", "n=2 n=3 1 2"),

@@ -15,12 +15,14 @@ from khbraid.planar import (
     cap_apply,
     circles,
     cup_insert,
+    cupcap_through,
     enumerate_matchings,
     mixed,
     plait,
 )
 from khbraid.tangle import (
     _cup_entry,
+    _transformed_components,
     counit_map,
     cupcap_functor,
     twist,
@@ -116,6 +118,48 @@ def test_adjunction_graded_dimension_identity():
                             q = mask_qdeg(mask, c2) + sh
                             rhs[q] = rhs.get(q, 0) + 1
                     assert lhs == rhs, (a, b, i)
+
+
+def _composition_checks(i, a, b, c, g, h):
+    """Assert that the (u, w) part of the transform of h.g is the sum over
+    middle labels t of h's (t, w) part after g's (u, t) part; return the
+    number of (u, w) parts compared."""
+    labels = lambda w: (0, 1) if (i, i + 1) in w.pairs else (None,)
+    hg = _transformed_components(i, multiply(h, g))
+    tg = _transformed_components(i, g)
+    th = _transformed_components(i, h)
+    zero = ArcCombination(cupcap_through(i, a)[0], cupcap_through(i, c)[0])
+    for u in labels(a):
+        for w in labels(c):
+            want = zero
+            for t in labels(b):
+                if (u, t) in tg and (t, w) in th:
+                    want = want + multiply(th[(t, w)], tg[(u, t)])
+            assert hg.get((u, w), zero) == want, (i, a, b, c, g, h, u, w)
+    return len(labels(a)) * len(labels(c))
+
+
+def test_cupcap_respects_composition():
+    # functoriality on morphisms, which is what makes cupcap(d)^2 = 0:
+    # exhaustively over basis pairs for n <= 3, on a seeded sample at n = 4
+    checks = 0
+    for n in (1, 2, 3):
+        ms = enumerate_matchings(n)
+        for a, b, c in itertools.product(ms, repeat=3):
+            for i in range(1, 2 * n):
+                for x in block_basis(a, b):
+                    for y in block_basis(b, c):
+                        g, h = ArcCombination.from_element(x), ArcCombination.from_element(y)
+                        checks += _composition_checks(i, a, b, c, g, h)
+    assert checks == 22088
+    rng = random.Random(4)
+    ms = enumerate_matchings(4)
+    for _ in range(400):
+        a, b, c = (rng.choice(ms) for _ in range(3))
+        i = rng.randint(1, 7)
+        g = ArcCombination.from_element(rng.choice(block_basis(a, b)))
+        h = ArcCombination.from_element(rng.choice(block_basis(b, c)))
+        _composition_checks(i, a, b, c, g, h)
 
 
 # ---------------------------------------------------------------------------
