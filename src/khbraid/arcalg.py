@@ -14,7 +14,9 @@ contractions of v's arcs and in `khbraid.tangle` the single saddle of the
 cup∘cap functor, and `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
-that; a product of combinations adds up table entries.  The cache holds at
+that; a product of combinations adds up table entries (`multiply_into`),
+and so does the action of one element on a whole block of basis labelings
+(`basis_images`, which the idempotent truncation reads).  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.
 """
@@ -204,21 +206,20 @@ _MULT_SCHEDULE_MAXSIZE = 1 << 13
 
 
 @lru_cache(maxsize=_MULT_SCHEDULE_MAXSIZE)
-def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None):
+def _mult_schedule(u: Matching, v: Matching, w: Matching):
     """Surgery schedule contracting the middle v between (u,v) and (v,w).
 
     Returns (n_bottom_circles, ops, finals, table): ops is a sequence of
     ("m", s1, s2, dst) / ("s", src, d1, d2) acting on slot ids, where the
     bottom diagram's circles start as slots 0..cb-1 and the top diagram's as
     cb..cb+ct-1; finals[k] is the slot holding circle k of circles(u, w).
-    table starts empty; `multiply_into` stores in it, under the key
+    table starts empty; `_add_products` stores in it, under the key
     ma | mb << cb, the product of the basis labelings ma of (u, v) and mb
     of (v, w) as a tuple of (mask, coeff) pairs.  The table is shared by
     every caller and mutated by design: it is a cache, not a value.
 
-    ``order`` is None for the left-endpoint order of the contracted arcs,
-    or overrides it; any order gives the same products (a tested property).
-    It has no default, so every call names it and shares one cache key.
+    v's arcs are contracted in left-endpoint order; any order gives the
+    same products (a tested property).
 
     Bounded: at most _MULT_SCHEDULE_MAXSIZE triples, least recently used
     evicted first with their tables (a word on 4-6 strands reaches a few
@@ -232,7 +233,7 @@ def _mult_schedule(u: Matching, v: Matching, w: Matching, order: tuple | None):
     T = lambda p: 2 * n + p - 1
     arcs = [(B(p), B(q)) for p, q in u.pairs + v.pairs]
     arcs += [(T(p), T(q)) for p, q in v.pairs + w.pairs]
-    saddles = [(B(p), B(q), T(p), T(q)) for p, q in (v.pairs if order is None else order)]
+    saddles = [(B(p), B(q), T(p), T(q)) for p, q in v.pairs]
     ops, slot_of = _surgery_schedule(arcs, saddles)
     finals = tuple(slot_of[B(circ[0])] for circ in circles(u, w).circles)
     return circles(u, v).c, ops, finals, {}
@@ -254,21 +255,19 @@ def _execute(state: dict[int, int], ops, finals) -> dict[int, int]:
     return out
 
 
-def multiply_into(
-    acc: dict[int, int], b: ArcCombination, a: ArcCombination, k: int = 1, order: tuple | None = None
+def _add_products(
+    acc: dict[int, int], schedule, a_terms: dict[int, int], b_terms: dict[int, int], k: int
 ) -> None:
-    """Add k * (b*a) into acc, a {mask: coeff} dict of the block (u, w).
+    """Add k * (b*a) into acc, for a in (u, v) and b in (v, w) given by
+    their {mask: coeff} terms and ``schedule`` = _mult_schedule(u, v, w).
 
-    a lies in block (u,v) and b in (v,w); mismatched middle matchings
-    multiply to zero, so nothing is added.  Coefficients that cancel are
-    left in acc as zeros.
+    The one reader of a schedule's basis-product table: a product missing
+    from it is computed by running the schedule on that pair, and stored.
     """
-    if a.target != b.source:
-        return
-    cb, ops, finals, table = _mult_schedule(a.source, a.target, b.target, order)
+    cb, ops, finals, table = schedule
     get = acc.get
-    for ma, ca in a.terms.items():
-        for mb, cbf in b.terms.items():
+    for ma, ca in a_terms.items():
+        for mb, cbf in b_terms.items():
             key = ma | mb << cb
             prod = table.get(key)
             if prod is None:
@@ -278,14 +277,42 @@ def multiply_into(
                 acc[m] = get(m, 0) + scale * p
 
 
-def multiply(b: ArcCombination, a: ArcCombination, order: tuple | None = None) -> ArcCombination:
+def multiply_into(acc: dict[int, int], b: ArcCombination, a: ArcCombination, k: int = 1) -> None:
+    """Add k * (b*a) into acc, a {mask: coeff} dict of the block (u, w).
+
+    a lies in block (u,v) and b in (v,w); mismatched middle matchings
+    multiply to zero, so nothing is added.  Coefficients that cancel are
+    left in acc as zeros.
+    """
+    if a.target != b.source:
+        return
+    _add_products(acc, _mult_schedule(a.source, a.target, b.target), a.terms, b.terms, k)
+
+
+def multiply(b: ArcCombination, a: ArcCombination) -> ArcCombination:
     """Product b*a for a in block (u,v), b in block (v,w); lands in (u,w).
 
     Mismatched middle matchings multiply to zero (orthogonal idempotents).
     """
     acc: dict[int, int] = {}
-    multiply_into(acc, b, a, 1, order)
+    multiply_into(acc, b, a)
     return ArcCombination(a.source, b.target, acc)
+
+
+def basis_images(g: ArcCombination, u: Matching) -> list[dict[int, int]]:
+    """g*m for every basis labeling m of the block (u, g.source), indexed by m.
+
+    Each image is a {mask: coeff} dict of the block (u, g.target); zero
+    coefficients may be left in it.  One schedule lookup serves the whole
+    block, and every product is read from the table `multiply_into` fills.
+    """
+    schedule = _mult_schedule(u, g.source, g.target)
+    images = []
+    for m in range(1 << schedule[0]):
+        img: dict[int, int] = {}
+        _add_products(img, schedule, {m: 1}, g.terms, 1)
+        images.append(img)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ keep stable ids while it runs and each differential is held as row and
 column adjacency, so a pivot costs only the entries it touches; the
 survivors are renumbered once at the end.
 
+`idempotent_truncate` applies Hom(P_a, -) by table reads: each entry g of
+a differential looks up its surgery schedule once and reads g·m, for every
+basis labeling m of the block (a, g.source), from that schedule's table of
+basis products (`arcalg.basis_images`), the table every product fills.
+
 Homology of the idempotent truncation has one kernel for every ring: each
 (h, j) block of the differential is reduced once by unimodular integer row
 and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
@@ -36,7 +41,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .planar import Matching, circles
-from .arcalg import ArcCombination, multiply, multiply_into, idempotent
+from .arcalg import ArcCombination, basis_images, multiply_into, idempotent
+from .arcalg import multiply  # kept: perfbench/tracer.py patches homalg.multiply
 from .tqft import mask_qdeg
 
 
@@ -197,7 +203,10 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
     Terms C^{h+1} (+) D^h, differential [[-d_C, 0], [f, d_D]].  The only
     off-diagonal block of its square is f d_C - d_D f, so the d^2 check of
     the cone (ValueError) rejects an f that is not a chain map; the same
-    check rejects an f that is not quantum-degree 0.
+    check rejects an f that is not quantum-degree 0, and a d_C or d_D whose
+    square is not zero.  `unit_map` and `counit_map` do not check their
+    maps, so for a twist this is the one chain-map check per letter, and a
+    bad unit or counit raises its ValueError.
     """
     degrees = set()
     for h in C.terms:
@@ -369,37 +378,31 @@ class FreeComplex:
 
 def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
     """Apply Hom(P_a, -): summand P_b{t} contributes the block (a, b) with
-    quantum degrees qdeg + t; differentials act by the surgery product."""
+    quantum degrees qdeg + t; an entry g of a differential acts on that
+    block by the surgery product, read from the basis-product table."""
     basis: dict[int, list[int]] = {}
     offsets: dict[int, list[int]] = {}
-    masks_per: dict[int, list[int]] = {}
     for h, summands in C.terms.items():
         degs: list[int] = []
         offs: list[int] = []
-        cs: list[int] = []
         for s in summands:
             offs.append(len(degs))
             c = circles(a, s.matching).c
-            cs.append(c)
             for m in range(1 << c):
                 degs.append(mask_qdeg(m, c) + s.qshift)
         basis[h] = degs
         offsets[h] = offs
-        masks_per[h] = cs
     mats: dict[int, dict[tuple[int, int], int]] = {}
     for h, d in C.diffs.items():
         mat: dict[tuple[int, int], int] = {}
+        src_offs, tgt_offs = offsets[h], offsets[h + 1]
         for (r, c), g in d.entries.items():
-            src_m = C.terms[h][c].matching
-            c_src = masks_per[h][c]
-            for m in range(1 << c_src):
-                elem = ArcCombination(a, src_m, {m: 1})
-                img = multiply(g, elem)
-                col = offsets[h][c] + m
-                for mm, coeff in img.terms.items():
-                    row = offsets[h + 1][r] + mm
-                    key = (row, col)
-                    mat[key] = mat.get(key, 0) + coeff
+            row0 = tgt_offs[r]
+            for col, img in enumerate(basis_images(g, a), src_offs[c]):
+                for mm, coeff in img.items():
+                    if coeff:
+                        key = (row0 + mm, col)
+                        mat[key] = mat.get(key, 0) + coeff
         mats[h] = {k: v for k, v in mat.items() if v}
     return FreeComplex(basis, mats)
 

@@ -9,6 +9,7 @@ from khbraid.arcalg import (
     ArcElement,
     _execute,
     _mult_schedule,
+    _surgery_schedule,
     block_basis,
     center_action,
     dim_hn,
@@ -100,6 +101,30 @@ def test_associativity_n3_randomized():
         assert multiply(t, multiply(y, x)) == multiply(multiply(t, y), x)
 
 
+def product_in_order(b, a, order):
+    """b*a with the middle arcs contracted in ``order``, by a schedule built
+    here the way `_mult_schedule` builds its own in left-endpoint order."""
+    u, v, w = a.source, a.target, b.target
+    n = u.n
+    B = lambda p: p - 1
+    T = lambda p: 2 * n + p - 1
+    arcs = [(B(p), B(q)) for p, q in u.pairs + v.pairs]
+    arcs += [(T(p), T(q)) for p, q in v.pairs + w.pairs]
+    ops, slot_of = _surgery_schedule(arcs, [(B(p), B(q), T(p), T(q)) for p, q in order])
+    finals = [slot_of[B(circ[0])] for circ in circles(u, w).circles]
+    return run_schedule(b, a, circles(u, v).c, ops, finals)
+
+
+def run_schedule(b, a, cb, ops, finals):
+    """b*a by running one schedule on the whole state at once."""
+    state = {}
+    for ma, ca in a.terms.items():
+        for mb, cbf in b.terms.items():
+            key = ma | mb << cb
+            state[key] = state.get(key, 0) + ca * cbf
+    return ArcCombination(a.source, b.target, _execute(state, ops, finals))
+
+
 def test_surgery_order_independence():
     # contracting the middle arcs in any order gives the same product
     for n in (2, 3):
@@ -111,8 +136,9 @@ def test_surgery_order_independence():
             y = comb(rng.choice(block_basis(v, w)))
             base = multiply(y, x)
             order = list(v.pairs)
+            assert product_in_order(y, x, order) == base
             rng.shuffle(order)
-            assert multiply(y, x, order=tuple(order)) == base
+            assert product_in_order(y, x, order) == base
 
 
 def reference_product(b, a):
@@ -120,13 +146,8 @@ def reference_product(b, a):
     bypassing the basis-product table."""
     if a.target != b.source:
         return ArcCombination(a.source, b.target, {})
-    cb, ops, finals, _table = _mult_schedule(a.source, a.target, b.target, None)
-    state = {}
-    for ma, ca in a.terms.items():
-        for mb, cbf in b.terms.items():
-            key = ma | mb << cb
-            state[key] = state.get(key, 0) + ca * cbf
-    return ArcCombination(a.source, b.target, _execute(state, ops, finals))
+    cb, ops, finals, _table = _mult_schedule(a.source, a.target, b.target)
+    return run_schedule(b, a, cb, ops, finals)
 
 
 def test_table_products_match_the_schedule_on_every_basis_pair():
@@ -142,7 +163,7 @@ def test_table_products_match_the_schedule_on_every_basis_pair():
         assert info.currsize == sum(len(enumerate_matchings(n)) ** 3 for n in (1, 2, 3))
     assert info.maxsize == _MULT_SCHEDULE_MAXSIZE
     # the second pass read every product from the tables
-    assert all(len(_mult_schedule(u, v, w, None)[3]) == 2 ** (circles(u, v).c + circles(v, w).c)
+    assert all(len(_mult_schedule(u, v, w)[3]) == 2 ** (circles(u, v).c + circles(v, w).c)
                for u, v, w in itertools.product(enumerate_matchings(3), repeat=3))
 
 
@@ -185,17 +206,17 @@ def test_table_products_match_the_schedule_n4_cold_warm_and_evicted():
     assert [multiply(b, a) for b, a in cases] == expected  # cold
     assert [multiply(b, a) for b, a in cases] == expected  # warm
     b0, a0 = cases[0]
-    table = _mult_schedule(a0.source, a0.target, b0.target, None)[3]
+    table = _mult_schedule(a0.source, a0.target, b0.target)[3]
     assert table
     # fill the cache past its bound with triples on 5 strands; every n = 4
     # triple, and its table, is evicted
     for k, (p, q, r) in enumerate(itertools.product(enumerate_matchings(5), repeat=3)):
         if k == _MULT_SCHEDULE_MAXSIZE:
             break
-        _mult_schedule(p, q, r, None)
+        _mult_schedule(p, q, r)
     assert _mult_schedule.cache_info().currsize == _MULT_SCHEDULE_MAXSIZE
     misses = _mult_schedule.cache_info().misses
-    assert _mult_schedule(a0.source, a0.target, b0.target, None)[3] is not table
+    assert _mult_schedule(a0.source, a0.target, b0.target)[3] is not table
     assert _mult_schedule.cache_info().misses == misses + 1
     assert [multiply(b, a) for b, a in cases] == expected  # after eviction
 

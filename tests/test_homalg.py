@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from khbraid.arcalg import ArcCombination, min_generator
+from khbraid.arcalg import ArcCombination, min_generator, multiply
 from khbraid.homalg import (
     BigradedGroup,
     Complex,
@@ -25,6 +25,7 @@ from khbraid.linkinv import BraidWord, braid_complex
 from khbraid.oracle import braid_to_pd, cube_complex
 from khbraid.planar import circles, enumerate_matchings, mixed, plait
 from khbraid.tangle import counit_map, twist
+from khbraid.tqft import mask_qdeg
 
 
 def single(w, q=0):
@@ -251,6 +252,52 @@ def test_truncation_of_diagonal_block_rank():
     # Hom(P_plait, P_mix) has rank 2 (one circle)
     H = homology(idempotent_truncate(plait(2), single(mixed(2))))
     assert H.total_rank() == 2
+
+
+def per_labeling_truncate(a, C):
+    """Hom(P_a, C) the direct way: one `multiply` per basis labeling of each
+    entry's source block, with no table read shared between labelings."""
+    basis, offsets = {}, {}
+    for h, summands in C.terms.items():
+        degs, offs = [], []
+        for s in summands:
+            offs.append(len(degs))
+            c = circles(a, s.matching).c
+            degs.extend(mask_qdeg(m, c) + s.qshift for m in range(1 << c))
+        basis[h], offsets[h] = degs, offs
+    mats = {}
+    for h, d in C.diffs.items():
+        mat = {}
+        for (r, c), g in d.entries.items():
+            for m in range(1 << circles(a, g.source).c):
+                img = multiply(g, ArcCombination(a, g.source, {m: 1}))
+                for mm, coeff in img.terms.items():
+                    key = (offsets[h + 1][r] + mm, offsets[h][c] + m)
+                    mat[key] = mat.get(key, 0) + coeff
+        mats[h] = {k: v for k, v in mat.items() if v}
+    return FreeComplex(basis, mats)
+
+
+def test_truncation_matches_one_product_per_labeling():
+    rng = random.Random(10)
+    several_terms = negative = 0
+    for n in (2, 3, 3):
+        ms = enumerate_matchings(n)
+        C = single(rng.choice(ms))
+        for _ in range(rng.randint(3, 5)):
+            C = twist(rng.randint(1, 2 * n - 1), rng.choice((1, -1)), C)
+            for K in (C, eliminate(C)):
+                for g in (g for d in K.diffs.values() for g in d.entries.values()):
+                    several_terms += len(g.terms) > 1
+                    negative += min(g.terms.values()) < 0
+                for a in ms:
+                    T, want = idempotent_truncate(a, K), per_labeling_truncate(a, K)
+                    assert T.basis == want.basis
+                    # entries, and the order they were written in, agree
+                    items = lambda F: [(h, list(m.items())) for h, m in F.mats.items()]
+                    assert items(T) == items(want)
+            C = eliminate(C)
+    assert several_terms and negative
 
 
 def test_cone_of_identity_is_acyclic():

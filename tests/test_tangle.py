@@ -1,6 +1,9 @@
 import itertools
 import random
 
+import pytest
+
+import khbraid.tangle as tangle
 from khbraid.arcalg import ArcCombination, block_basis, idempotent, multiply
 from khbraid.homalg import (
     Complex,
@@ -178,6 +181,48 @@ def test_unit_and_counit_are_chain_maps_on_twisted_complexes():
             assert is_chain_map(f, C, D)
             g, E = counit_map(i, C)
             assert is_chain_map(g, E, C)
+
+
+def _twisted_complexes():
+    # complexes with a nonzero differential, where every entry of the unit
+    # and counit is pinned down by the chain-map condition
+    yield eliminate(twist(1, 1, single(mixed(2)))), (1, 2, 3)
+    yield eliminate(twist(2, -1, single(plait(3)))), (1, 2, 3, 4, 5)
+
+
+def _mutants(f):
+    """f with one entry dropped, then f with one coefficient negated, for
+    every entry and every coefficient of f."""
+    for h, fh in f.items():
+        for key, g in fh.entries.items():
+            rest = {k: e for k, e in fh.entries.items() if k != key}
+            yield {**f, h: ModuleMap(fh.source, fh.target, rest)}
+            for m in g.terms:
+                flipped = ArcCombination(g.source, g.target, {**g.terms, m: -g.terms[m]})
+                yield {**f, h: ModuleMap(fh.source, fh.target, {**fh.entries, key: flipped})}
+
+
+def _assert_twist_rejects_every_mutant(monkeypatch, name, sign):
+    good = getattr(tangle, name)
+    for C, positions in _twisted_complexes():
+        for i in positions:
+            f, D = good(i, C)
+            mutants = list(_mutants(f))
+            assert mutants
+            for bad in mutants:
+                monkeypatch.setattr(tangle, name, lambda i, C, bad=bad, D=D: (bad, D))
+                with pytest.raises(ValueError, match=r"d\^2 != 0"):
+                    twist(i, sign, C)
+            monkeypatch.setattr(tangle, name, good)
+            twist(i, sign, C)  # the real map passes the same check
+
+
+def test_cone_check_rejects_a_bad_unit(monkeypatch):
+    _assert_twist_rejects_every_mutant(monkeypatch, "unit_map", 1)
+
+
+def test_cone_check_rejects_a_bad_counit(monkeypatch):
+    _assert_twist_rejects_every_mutant(monkeypatch, "counit_map", -1)
 
 
 def test_cupcap_respects_identity():

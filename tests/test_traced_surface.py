@@ -35,9 +35,10 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
 
     _self_s, _incl_s, calls = tracing.self_times(tr.spans, tr.folded)
     assert calls["linkinv.compute"] == 1
-    # one cone and one chain-map check per letter: the unit or counit checks
-    # its map, and the cone's own d^2 check is the only other guard
-    assert calls["homalg.cone"] == calls["homalg.is_chain_map"] == 2
+    # one cone per letter, and its own d^2 check is the one chain-map check:
+    # the unit and counit no longer run is_chain_map
+    assert calls["homalg.cone"] == 2
+    assert calls.get("homalg.is_chain_map", 0) == 0
 
 
 def test_traced_caches_expose_cache_info():
