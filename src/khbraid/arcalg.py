@@ -124,12 +124,9 @@ class ArcCombination:
     def elements(self) -> list[tuple[ArcElement, int]]:
         return [(ArcElement(self.source, self.target, m), c) for m, c in sorted(self.terms.items())]
 
-    def qdegs(self) -> set[int]:
-        c = circles(self.source, self.target).c
-        return {mask_qdeg(m, c) for m in self.terms}
-
     def is_homogeneous(self, q: int) -> bool:
-        return self.qdegs() <= {q}
+        c = circles(self.source, self.target).c
+        return all(mask_qdeg(m, c) == q for m in self.terms)
 
 
 def min_generator(source: Matching, target: Matching) -> ArcElement:

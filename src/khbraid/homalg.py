@@ -158,9 +158,6 @@ class Complex:
                 if not self.diffs[h + 1].compose(self.diffs[h]).is_zero():
                     raise ValueError(f"d^2 != 0 between degrees {h} and {h+2}")
 
-    def degrees(self) -> list[int]:
-        return sorted(self.terms)
-
     def summands(self, h: int) -> tuple[ProjSummand, ...]:
         return self.terms.get(h, ())
 
@@ -356,9 +353,6 @@ class FreeComplex:
         self.basis = {h: list(b) for h, b in basis.items() if b}
         self.mats = {h: dict(m) for h, m in mats.items() if m}
         self.check_d2()
-
-    def degrees(self) -> list[int]:
-        return sorted(self.basis)
 
     def check_d2(self):
         for h, m in self.mats.items():

@@ -291,20 +291,30 @@ def parse_pd(text: str) -> Diagram:
 # the cube
 
 
-def _vertex_circles(d: Diagram, vertex: int) -> list[frozenset[int]]:
-    """Circles of the complete smoothing chosen by the bits of ``vertex``."""
+def _vertex_circles(d: Diagram, labels: list[int], vertex: int) -> dict[int, int]:
+    """Circle index of each edge in the complete smoothing chosen by the bits
+    of ``vertex``.  ``labels`` lists the edge labels in ascending order, so
+    circles are numbered by their least edge."""
     parent: dict[int, int] = {}
     for t, x in enumerate(d.crossings):
         for e1, e2 in x.smoothing(vertex >> t & 1):
             _union(parent, e1, e2)
-    comps: dict[int, set[int]] = {}
-    for e in d.edge_labels():
-        comps.setdefault(_find(parent, e), set()).add(e)
-    return sorted((frozenset(s) for s in comps.values()), key=min)
+    roots: dict[int, int] = {}
+    return {e: roots.setdefault(_find(parent, e), len(roots)) for e in labels}
 
 
 def cube_complex(d: Diagram) -> FreeComplex:
     """The Khovanov complex of the diagram as a free bigraded complex.
+
+    A generator at a vertex is a label mask over its circles, with the free
+    loops in the top bits.  Flipping crossing t changes the smoothing at t
+    only, so a circle away from t has the same edges at both ends of the cube
+    edge: the cobordism is the identity on it and it keeps its label, at the
+    index its edges have in the target.  Each cube edge therefore works out
+    once where every source bit goes -- a circle away from t to that index, a
+    free loop up or down by the change in circle count, a circle through t to
+    a scratch bit -- and one merge or split writes the target circles through
+    t, for all generators at once.
 
     Edge signs are (-1)^{set bits below the flipped coordinate}.  Raises
     ValueError when flipping a crossing neither merges two circles nor
@@ -313,82 +323,55 @@ def cube_complex(d: Diagram) -> FreeComplex:
     d.validate()
     m = len(d.crossings)
     np_, nm = d.n_plus, d.n_minus
-    circles_at = [_vertex_circles(d, v) for v in range(1 << m)]
+    labels = d.edge_labels()
+    circles_at = [_vertex_circles(d, labels, v) for v in range(1 << m)]
+    ncirc = [len(set(circ.values())) for circ in circles_at]
 
-    # basis: per vertex, generators are label masks over its circles (free
-    # loops occupy the top mask bits)
     offset: list[int] = []
     basis: dict[int, list[int]] = {}
     for v in range(1 << m):
-        circ = circles_at[v]
         r = bin(v).count("1")
-        h = r - nm
-        degs = basis.setdefault(h, [])
+        degs = basis.setdefault(r - nm, [])
         offset.append(len(degs))
-        nloops = len(circ) + d.free_loops
+        nloops = ncirc[v] + d.free_loops
         for mask in range(1 << nloops):
             degs.append(mask_qdeg(mask, nloops) + r + np_ - 2 * nm)
 
     mats: dict[int, dict[tuple[int, int], int]] = {}
     for v in range(1 << m):
-        r = bin(v).count("1")
-        h = r - nm
-        src_circ = circles_at[v]
-        n_src = len(src_circ) + d.free_loops
-        for t in range(m):
+        src = circles_at[v]
+        edge_of = {k: e for e, k in src.items()}  # one edge per source circle
+        for t, x in enumerate(d.crossings):
             if v >> t & 1:
                 continue
             w = v | 1 << t
-            sign = -1 if bin(v & ((1 << t) - 1)).count("1") % 2 else 1
-            tgt_circ = circles_at[w]
-            # unchanged circles correspond by equality of edge sets
-            tgt_pos = {circ: k for k, circ in enumerate(tgt_circ)}
-            changed_src = [k for k, circ in enumerate(src_circ) if circ not in tgt_pos]
-            changed_tgt = [k for k, circ in enumerate(tgt_circ) if circ not in set(src_circ)]
-            if (len(changed_src), len(changed_tgt)) not in ((2, 1), (1, 2)):
-                raise ValueError(f"crossing {t} {d.crossings[t].edges} neither merges nor "
+            tgt = circles_at[w]
+            at_src = sorted({src[e] for e in x.edges})
+            at_tgt = sorted({tgt[e] for e in x.edges})
+            if (len(at_src), len(at_tgt)) not in ((2, 1), (1, 2)):
+                raise ValueError(f"crossing {t} {x.edges} neither merges nor "
                                  "splits circles: the diagram is not planar")
-            mat = mats.setdefault(h, {})
-            for mask in range(1 << n_src):
-                state = {mask: sign}
-                if len(changed_src) == 2:
-                    ka, kb = changed_src
-                    state = mask_merge(state, 1 << ka, 1 << kb, 1 << (n_src + 1))
-                else:
-                    (ka,) = changed_src
-                    state = mask_split(state, 1 << ka, 1 << (n_src + 1), 1 << (n_src + 2))
-                moved = {}
-                for mm, cc in state.items():
-                    out = _repack(mm, src_circ, tgt_circ, d.free_loops, n_src + 1, changed_tgt)
-                    moved[out] = moved.get(out, 0) + cc
-                state = moved
-                col = offset[v] + mask
-                for mm, cc in state.items():
-                    row = offset[w] + mm
-                    key = (row, col)
-                    mat[key] = mat.get(key, 0) + cc
-    return FreeComplex(basis, {h: {k: x for k, x in mm.items() if x} for h, mm in mats.items()})
-
-
-def _repack(mask: int, src_circ, tgt_circ, free: int, tmp_bit: int, changed_tgt) -> int:
-    """Move labels from source circle order to target order after a merge
-    or split: bit tmp_bit + k carries the label of target circle
-    changed_tgt[k]."""
-    out = 0
-    tgt_index = {circ: k for k, circ in enumerate(tgt_circ)}
-    for k, circ in enumerate(src_circ):
-        if circ in tgt_index and mask >> k & 1:
-            out |= 1 << tgt_index[circ]
-    for k, kt in enumerate(changed_tgt):
-        if mask >> (tmp_bit + k) & 1:
-            out |= 1 << kt
-    # free loops occupy the top bits, in both source and target
-    n_src_real = len(src_circ)
-    n_tgt_real = len(tgt_circ)
-    for f in range(free):
-        if mask >> (n_src_real + f) & 1:
-            out |= 1 << (n_tgt_real + f)
-    return out
+            n_tgt = ncirc[w] + d.free_loops
+            scratch = 1 << n_tgt  # bits n_tgt and n_tgt + 1
+            dest = [scratch << at_src.index(k) if k in at_src else 1 << tgt[edge_of[k]]
+                    for k in range(ncirc[v])]
+            shift = ncirc[w] - ncirc[v]
+            dest += [1 << (k + shift) for k in range(ncirc[v], ncirc[v] + d.free_loops)]
+            moved = [0]  # moved[mask]: the source labels of mask at their destinations
+            for bit in dest:
+                moved += [mm | bit for mm in moved]
+            # the column rides above the scratch bits, so one call maps them all
+            col_at = n_tgt + 2
+            sign = -1 if bin(v & ((1 << t) - 1)).count("1") % 2 else 1
+            terms = {col << col_at | mm: sign for col, mm in enumerate(moved)}
+            if len(at_src) == 2:
+                terms = mask_merge(terms, scratch, scratch << 1, 1 << at_tgt[0])
+            else:
+                terms = mask_split(terms, scratch, 1 << at_tgt[0], 1 << at_tgt[1])
+            mat = mats.setdefault(bin(v).count("1") - nm, {})
+            for key, c in terms.items():
+                mat[(offset[w] + (key & (scratch - 1)), offset[v] + (key >> col_at))] = c
+    return FreeComplex(basis, mats)
 
 
 def cube_homology(d: Diagram, coefficients: str = "Z") -> BigradedGroup:

@@ -8,6 +8,7 @@ from khbraid.oracle import (
     Diagram,
     braid_to_pd,
     braid_to_pd_resolved,
+    cube_complex,
     cube_homology,
     format_pd,
     parse_pd,
@@ -109,6 +110,42 @@ def test_pd_plain_sign_inference():
         (-3, -9): (1, ()),
         (-2, -7): (0, (2,)),
     }
+
+
+def test_pd_free_loops_tensor_with_v():
+    # each free loop tensors with V, whose generators sit at q = +1 and -1
+    trefoil = "X(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6,3)\n"
+    d = parse_pd(trefoil + "O()\nO\n")
+    assert d.free_loops == 2
+    assert parse_pd(format_pd(d)).free_loops == 2
+    want: dict = {}
+    for (i, j), (r, t) in cube_homology(parse_pd(trefoil)).entries.items():
+        for dj in (2, 0, 0, -2):
+            r0, t0 = want.get((i, j + dj), (0, ()))
+            want[(i, j + dj)] = (r0 + r, t0 + t)
+    assert any(t for _r, t in want.values())
+    assert cube_homology(d).entries == want
+    assert cube_homology(parse_pd(format_pd(d))).entries == want
+
+
+def test_random_codes_build_or_refuse():
+    # a random 4-valent code is usually not planar; the cube must then refuse
+    # it with ValueError, and otherwise build a complex whose d^2 check passed
+    rng = random.Random(5)
+    built, refused = 0, []
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        ends = [e for e in range(1, 2 * k + 1) for _ in (0, 1)]
+        rng.shuffle(ends)
+        d = Diagram(tuple(Crossing(tuple(ends[4 * i : 4 * i + 4]), rng.choice((1, -1)))
+                          for i in range(k)))
+        try:
+            cube_complex(d)
+        except ValueError:
+            refused.append(k)
+        else:
+            built += 1
+    assert built and refused and max(refused) >= 2
 
 
 def test_pd_one_crossing_kinks_are_unknots():
