@@ -22,13 +22,18 @@ a differential looks up its surgery schedule once and reads g·m, for every
 basis labeling m of the block (a, g.source), from that schedule's table of
 basis products (`arcalg.basis_images`), the table every product fills.
 
-Homology of the idempotent truncation has one kernel for every ring: each
-(h, j) block of the differential is reduced once by unimodular integer row
-and column operations (`smith_diagonal`), and the ranks over Z, Q and F_p
-and the torsion over Z are read off that one diagonal.  The kernel has one
-pivot step, which clears the pivot's column by row operations and then
-reduces the pivot row mod the pivot, and two pivot choices: a sweep over
-the ±1 entries first, then entries of least absolute value on what is left.
+A free complex (`FreeComplex`, made by `idempotent_truncate` and by the
+cube in `oracle`) holds each differential once, by columns:
+{col: {row: coeff}}.  Its d² check adds whole columns, and homology splits
+each column once into its (h, j) block.  Homology has one kernel for every
+ring: each block is reduced once by unimodular integer row and column
+operations (`smith_diagonal`), and the ranks over Z, Q and F_p and the
+torsion over Z are read off that one diagonal.  The kernel reduces the
+block's transpose, whose rows are the block's columns as given; the
+transpose has the same rank and invariant factors.  It has one pivot step,
+which clears the pivot's column by row operations and then reduces the
+pivot row mod the pivot, and two pivot choices: a sweep over the ±1
+entries first, then entries of least absolute value on what is left.
 `rank_over_field` is an independent dense eliminator kept as the tests'
 reference.
 """
@@ -345,29 +350,34 @@ def eliminate(C: Complex) -> Complex:
 class FreeComplex:
     """Cochain complex of free abelian groups with a (h, j) bigrading.
 
-    basis[h] is a list of quantum degrees j, one per generator; mats[h] maps
-    degree h to h+1 as {(row, col): int}.  Differentials preserve j.
+    basis[h] is a list of quantum degrees j, one per generator.  mats[h]
+    maps degree h to h+1 by columns, {col: {row: coeff}}, with global
+    indices into basis[h] and basis[h+1] and no zero entries; the dicts are
+    taken as given, not copied, and no reader changes them.  `homology`
+    hands each column to `smith_diagonal` as a row of the transpose.
+    Differentials preserve j.
     """
 
-    def __init__(self, basis: dict[int, list[int]], mats: dict[int, dict[tuple[int, int], int]]):
+    def __init__(self, basis: dict[int, list[int]], mats: dict[int, dict[int, dict[int, int]]]):
         self.basis = {h: list(b) for h, b in basis.items() if b}
-        self.mats = {h: dict(m) for h, m in mats.items() if m}
+        self.mats = {h: m for h, m in mats.items() if m}
         self.check_d2()
 
     def check_d2(self):
+        """Every entry of every d_{h+1}·d_h, one column at a time: column c
+        of the product is the sum of the columns k of d_{h+1}, weighted by
+        d_h[k, c]."""
         for h, m in self.mats.items():
             nxt = self.mats.get(h + 1)
             if not nxt:
                 continue
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in nxt.items():
-                by_col.setdefault(c, []).append((r, v))
-            acc: dict[tuple[int, int], int] = {}
-            for (k, c), v in m.items():
-                for r, w in by_col.get(k, []):
-                    acc[(r, c)] = acc.get((r, c), 0) + w * v
-            if any(acc.values()):
-                raise ValueError(f"d^2 != 0 in truncated complex at degree {h}")
+            for col in m.values():
+                acc: dict[int, int] = {}
+                for k, v in col.items():
+                    for r, w in nxt.get(k, {}).items():
+                        acc[r] = acc.get(r, 0) + w * v
+                if any(acc.values()):
+                    raise ValueError(f"d^2 != 0 in free complex at degree {h}")
 
 
 def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
@@ -386,18 +396,20 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
                 degs.append(mask_qdeg(m, c) + s.qshift)
         basis[h] = degs
         offsets[h] = offs
-    mats: dict[int, dict[tuple[int, int], int]] = {}
+    mats: dict[int, dict[int, dict[int, int]]] = {}
     for h, d in C.diffs.items():
-        mat: dict[tuple[int, int], int] = {}
+        mat: dict[int, dict[int, int]] = {}
         src_offs, tgt_offs = offsets[h], offsets[h + 1]
         for (r, c), g in d.entries.items():
             row0 = tgt_offs[r]
             for col, img in enumerate(basis_images(g, a), src_offs[c]):
+                column = mat.setdefault(col, {})
                 for mm, coeff in img.items():
                     if coeff:
-                        key = (row0 + mm, col)
-                        mat[key] = mat.get(key, 0) + coeff
-        mats[h] = {k: v for k, v in mat.items() if v}
+                        column[row0 + mm] = column.get(row0 + mm, 0) + coeff
+        mats[h] = {
+            c: kept for c, col in mat.items() if (kept := {r: v for r, v in col.items() if v})
+        }
     return FreeComplex(basis, mats)
 
 
@@ -405,11 +417,14 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
 # integer linear algebra
 
 
-def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
-    """Diagonal of an integer matrix under invertible row/col ops.
+def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
+    """Diagonal of an integer matrix, given by columns {col: {row: v}} with
+    no zero entries, under invertible row/col ops.
 
     Not forced into divisibility order; the cokernel torsion ⊕Z/d can be
-    read off directly.
+    read off directly.  The transpose has the same rank and invariant
+    factors, so it is the transpose that is reduced: each given column,
+    copied, is a row, and only the column sets are indexed.
 
     One pivot step, two pivot choices (after Dumas, Saunders and Villard,
     J. Symb. Comput. 32, 2001).  The step at a pivot a in (pr, pc) subtracts
@@ -422,11 +437,10 @@ def smith_diagonal(entries: dict[tuple[int, int], int]) -> list[int]:
     already passed, pivots on an entry of least absolute value, and picks
     again while a smaller one is left in the column or the pivot row.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {r: dict(row) for r, row in columns.items() if row}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = v
+    for r, row in rows.items():
+        for c in row:
             cols.setdefault(c, set()).add(r)
 
     def clear_column(pr: int, pc: int) -> bool:
@@ -608,32 +622,35 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
     """Homology of a free complex, per (i, j).
 
     coefficients: "Z" (ranks and torsion), "Q", or "Fp" for a prime p (ranks
-    only).  Each (h, j) block of the differential goes through
-    `smith_diagonal` once.  Its diagonal D gives the block's rank over Z and
-    Q as len(D), over F_p as the number of d in D with p not dividing d, and
-    the torsion over Z in degree h + 1 as the entries d > 1.
+    only).  Each column of d_h goes once to the block of its bidegree
+    (h, j), its rows renumbered within the target block; a row outside it
+    raises ValueError.  Each block goes through `smith_diagonal` once.  Its
+    diagonal D gives the block's rank over Z and Q as len(D), over F_p as
+    the number of d in D with p not dividing d, and the torsion over Z in
+    degree h + 1 as the entries d > 1.
     """
     p = coefficient_characteristic(coefficients)
-    # each generator's index inside its (h, j) block, and the block sizes
-    index: dict[int, list[int]] = {}
-    dims: dict[tuple[int, int], int] = {}
+    # index[h][j][g]: generator g's index in its (h, j) block; len is the size
+    index: dict[int, dict[int, dict[int, int]]] = {}
     for h, b in T.basis.items():
-        idx = index[h] = []
-        for j in b:
-            k = dims.get((h, j), 0)
-            idx.append(k)
-            dims[(h, j)] = k + 1
+        by_j = index[h] = {}
+        for g, j in enumerate(b):
+            idx = by_j.setdefault(j, {})
+            idx[g] = len(idx)
 
-    # the blocks of d_h, keyed by their source bidegree, in one pass
-    blocks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    # each column of d_h goes to the block of its source bidegree, its rows
+    # renumbered by the target's block index for that j, which holds every
+    # row that preserves j and no other
+    blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for h, mat in T.mats.items():
-        src, tgt = T.basis[h], T.basis.get(h + 1, [])
-        src_idx, tgt_idx = index[h], index.get(h + 1, [])
-        for (r, c), v in mat.items():
+        src, tgt = T.basis[h], index.get(h + 1, {})
+        for c, col in mat.items():
             j = src[c]
-            if r >= len(tgt) or tgt[r] != j:
-                raise ValueError("differential does not preserve quantum degree")
-            blocks.setdefault((h, j), {})[(tgt_idx[r], src_idx[c])] = v
+            local = tgt.get(j, {})
+            try:
+                blocks.setdefault((h, j), {})[c] = {local[r]: v for r, v in col.items()}
+            except KeyError:
+                raise ValueError("differential does not preserve quantum degree") from None
 
     ranks: dict[tuple[int, int], int] = {}
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -646,6 +663,7 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
             )
 
     result: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    dims = {(h, j): len(idx) for h, by_j in index.items() for j, idx in by_j.items()}
     for (h, j), dim in sorted(dims.items()):
         rank = dim - ranks.get((h, j), 0) - ranks.get((h - 1, j), 0)
         tors = torsion.get((h, j), ())

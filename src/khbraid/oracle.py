@@ -130,91 +130,6 @@ def braid_to_pd(b) -> Diagram:
     return diag
 
 
-def braid_to_pd_resolved(b, c: int) -> tuple[Diagram, int]:
-    """Diagram of the closure with letter c replaced by its unoriented
-    smoothing, crossing signs adjusted for the induced reorientation.
-
-    Returns (diagram, v) where v is the signed number of crossings between
-    the arc leaving the resolved crossing's top-left corner and the other
-    components of the complement; exactly the strands on that arc reverse.
-    """
-    letters = list(b.letters)
-    m = len(letters)
-    if not 0 <= c < m:
-        raise ValueError("crossing index out of range")
-    ids = _closure_edges(b.strands, letters)
-
-    parent: dict[int, int] = {}
-    ic = letters[c][0]
-    for r, (i, _s) in enumerate(letters):
-        up = (r + 1) % m
-        for pos in range(1, b.strands + 1):
-            if r == c and pos in (i, i + 1):
-                continue
-            if pos == i and r != c:
-                _union(parent, ids[(r, i)], ids[(up, i + 1)])
-            elif pos == i + 1 and r != c:
-                _union(parent, ids[(r, i + 1)], ids[(up, i)])
-            elif pos not in (i, i + 1):
-                _union(parent, ids[(r, pos)], ids[(up, pos)])
-    arc = _find(parent, ids[((c + 1) % m, ic)])  # component of the top-left corner
-
-    v = 0
-    new_crossings = []
-    for r, (i, s) in enumerate(letters):
-        if r == c:
-            continue
-        lo1, lo2 = ids[(r, i)], ids[(r, i + 1)]
-        on_arc = (_find(parent, lo1) == arc, _find(parent, lo2) == arc)
-        sign = s
-        if on_arc[0] != on_arc[1]:
-            v += s
-            sign = -s  # exactly one strand reverses: crossing sign flips
-        up = (r + 1) % m
-        A, B, C, D = ids[(r, i)], ids[(r, i + 1)], ids[(up, i)], ids[(up, i + 1)]
-        # tuple from the original geometry (which strand is over does not
-        # change under reorientation); only the recorded sign flips, and with
-        # it the global [-n_minus]{n_plus - 2 n_minus} shifts.  Both
-        # smoothing pairings are rotation-invariant, so the stale "ccw from
-        # incoming under" base point is harmless.
-        if s == 1:
-            new_crossings.append(Crossing((B, D, C, A), sign))
-        else:
-            new_crossings.append(Crossing((A, B, D, C), sign))
-
-    # contract the resolved crossing: cup joins the two lower edges, cap the
-    # two upper ones
-    up = (c + 1) % m
-    join = {}
-
-    def rep(e: int) -> int:
-        while e in join:
-            e = join[e]
-        return e
-
-    pairs = [
-        (ids[(c, ic)], ids[(c, ic + 1)]),
-        (ids[(up, ic)], ids[(up, ic + 1)]),
-    ]
-    for e1, e2 in pairs:
-        r1, r2 = rep(e1), rep(e2)
-        if r1 != r2:
-            join[max(r1, r2)] = min(r1, r2)
-    relabeled = tuple(
-        Crossing(tuple(rep(e) for e in x.edges), x.sign) for x in new_crossings
-    )
-    used = {e for x in relabeled for e in x.edges}
-    # a resolved loop with no remaining crossings becomes a free loop
-    survivors = {rep(ids[(c, ic)]), rep(ids[(up, ic)])}
-    loops = sum(1 for e in survivors if e not in used)
-    # strands untouched by any letter stay free loops
-    touched = {i for (i, _s) in letters} | {i + 1 for (i, _s) in letters}
-    loops += sum(1 for pos in range(1, b.strands + 1) if pos not in touched)
-    diag = Diagram(relabeled, free_loops=loops)
-    diag.validate()
-    return diag, v
-
-
 # ---------------------------------------------------------------------------
 # PD text format
 
@@ -337,7 +252,7 @@ def cube_complex(d: Diagram) -> FreeComplex:
         for mask in range(1 << nloops):
             degs.append(mask_qdeg(mask, nloops) + r + np_ - 2 * nm)
 
-    mats: dict[int, dict[tuple[int, int], int]] = {}
+    mats: dict[int, dict[int, dict[int, int]]] = {}
     for v in range(1 << m):
         src = circles_at[v]
         edge_of = {k: e for e, k in src.items()}  # one edge per source circle
@@ -369,8 +284,8 @@ def cube_complex(d: Diagram) -> FreeComplex:
             else:
                 terms = mask_split(terms, scratch, 1 << at_tgt[0], 1 << at_tgt[1])
             mat = mats.setdefault(bin(v).count("1") - nm, {})
-            for key, c in terms.items():
-                mat[(offset[w] + (key & (scratch - 1)), offset[v] + (key >> col_at))] = c
+            for key, c in terms.items():  # each entry is written once, as ±1
+                mat.setdefault(offset[v] + (key >> col_at), {})[offset[w] + (key & (scratch - 1))] = c
     return FreeComplex(basis, mats)
 
 

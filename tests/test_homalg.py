@@ -32,16 +32,24 @@ def single(w, q=0):
     return Complex.single(w, q)
 
 
+def by_col(entries):
+    """{(row, col): v} in the column layout {col: {row: v}}, in write order."""
+    cols = {}
+    for (r, c), v in entries.items():
+        cols.setdefault(c, {})[r] = v
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # integer linear algebra
 
 
 def test_smith_diagonal_simple():
-    assert smith_diagonal({}) == []
-    assert smith_diagonal({(0, 0): 2}) == [2]
-    assert sorted(smith_diagonal({(0, 0): 2, (1, 1): 3})) == [2, 3]
+    assert smith_diagonal(by_col({})) == []
+    assert smith_diagonal(by_col({(0, 0): 2})) == [2]
+    assert sorted(smith_diagonal(by_col({(0, 0): 2, (1, 1): 3}))) == [2, 3]
     # [[2,4],[4,2]] has Smith form diag(2, 6)
-    assert sorted(smith_diagonal({(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 2})) == [2, 6]
+    assert sorted(smith_diagonal(by_col({(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 2}))) == [2, 6]
 
 
 def _brute_rank(entries, rows, cols):
@@ -78,11 +86,11 @@ def test_smith_rank_fuzz_against_dense_elimination():
         }
         entries = {k: v for k, v in entries.items() if v}
         want = _brute_rank(entries, R, C)
-        assert len(smith_diagonal(dict(entries))) == want
+        assert len(smith_diagonal(by_col(entries))) == want
         assert rank_over_field(dict(entries)) == want
         for p in (2, 3, 5):
             assert rank_over_field(dict(entries), p) == len(
-                [d for d in smith_diagonal(dict(entries)) if d % p]
+                [d for d in smith_diagonal(by_col(entries)) if d % p]
             )
 
 
@@ -148,7 +156,7 @@ def test_smith_torsion_against_determinantal_divisors():
         cases.append((entries, R, C))
     for entries, R, C in cases:
         want = _invariant_factors(entries, R, C)
-        diagonal = smith_diagonal(dict(entries))
+        diagonal = smith_diagonal(by_col(entries))
         assert len(diagonal) == len(want), entries
         assert _torsion(diagonal) == _torsion(want), entries
     assert _invariant_factors(fill, 3, 3) == [1, 1, 12]
@@ -160,14 +168,46 @@ def test_homology_plain_groups():
     H = homology(T)
     assert H.entries == {(0, 0): (2, ())}
     # Z --x2--> Z gives Z/2 in the target degree
-    T = FreeComplex({0: [0], 1: [0]}, {0: {(0, 0): 2}})
+    T = FreeComplex({0: [0], 1: [0]}, {0: by_col({(0, 0): 2})})
     H = homology(T)
     assert H.entries == {(1, 0): (0, (2,))}
 
 
 def test_homology_rejects_bad_differential():
     with pytest.raises(ValueError):
-        FreeComplex({0: [0], 1: [0], 2: [0]}, {0: {(0, 0): 1}, 1: {(0, 0): 1}})
+        FreeComplex({0: [0], 1: [0], 2: [0]}, {0: by_col({(0, 0): 1}), 1: by_col({(0, 0): 1})})
+
+
+def test_check_d2_sums_within_a_column():
+    # Z -> Z^2 -> Z with d0 = (1, 1)^T: d1 = (1, -1) cancels within the one
+    # column of d1·d0, and d1 = (1, 1) leaves 2 there
+    basis = {0: [0], 1: [0, 0], 2: [0]}
+    d0 = by_col({(0, 0): 1, (1, 0): 1})
+    FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
+    with pytest.raises(ValueError, match="d\\^2 != 0 in free complex at degree 0"):
+        FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): 1})})
+
+
+def test_check_d2_reads_every_column():
+    # Z^2 -> Z^2 -> Z with d0 columns e0 + e1 and e0, d1 = (1, -1):
+    # d1·d0 = (0, 1), so its one nonzero entry lies in column 1
+    basis = {0: [0, 0], 1: [0, 0], 2: [0]}
+    d0 = by_col({(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="d\\^2 != 0 in free complex at degree 0"):
+        FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
+
+
+def test_homology_rejects_a_differential_that_changes_j():
+    T = FreeComplex({0: [0], 1: [2]}, {0: {0: {0: 1}}})
+    with pytest.raises(ValueError, match="does not preserve quantum degree"):
+        homology(T)
+    # every column is checked, not only the first, and every row of a column
+    for T in (
+        FreeComplex({0: [2, 0], 1: [2]}, {0: by_col({(0, 0): 1, (0, 1): 1})}),
+        FreeComplex({0: [0], 1: [0, 2]}, {0: by_col({(0, 0): 1, (1, 0): 1})}),
+    ):
+        with pytest.raises(ValueError, match="does not preserve quantum degree"):
+            homology(T)
 
 
 def _universal_coefficient_cases():
@@ -182,7 +222,7 @@ def _universal_coefficient_cases():
             if rng.random() < 0.7
         }
         # force d1 . d0 = 0 by taking d1 = 0
-        yield FreeComplex(basis, {0: {k: v for k, v in d0.items() if v}})
+        yield FreeComplex(basis, {0: by_col({k: v for k, v in d0.items() if v})})
     # cube complexes: several quantum degrees, consecutive nonzero
     # differentials, and torsion
     rng = random.Random(12)
@@ -194,7 +234,12 @@ def _universal_coefficient_cases():
 def _dense_field_ranks(T, p):
     """dim - rank(d_in) - rank(d_out) per (h, j) block, by `rank_over_field`."""
     def block(h, j):
-        return {(r, c): v for (r, c), v in T.mats.get(h, {}).items() if T.basis[h][c] == j}
+        return {
+            (r, c): v
+            for c, col in T.mats.get(h, {}).items()
+            if T.basis[h][c] == j
+            for r, v in col.items()
+        }
 
     ranks = {}
     for h, b in T.basis.items():
@@ -207,7 +252,9 @@ def _dense_field_ranks(T, p):
 
 def test_universal_coefficients_ranks():
     for T in _universal_coefficient_cases():
+        mats = {h: {c: dict(col) for c, col in m.items()} for h, m in T.mats.items()}
         HZ = homology(T, "Z")
+        assert T.mats == mats  # the Smith kernel works on copies
         HQ = homology(T, "Q")
         for (h, j), (r, _t) in HQ.entries.items():
             assert HZ.entries.get((h, j), (0, ()))[0] == r
@@ -270,11 +317,14 @@ def per_labeling_truncate(a, C):
         mat = {}
         for (r, c), g in d.entries.items():
             for m in range(1 << circles(a, g.source).c):
+                col = mat.setdefault(offsets[h][c] + m, {})
                 img = multiply(g, ArcCombination(a, g.source, {m: 1}))
                 for mm, coeff in img.terms.items():
-                    key = (offsets[h + 1][r] + mm, offsets[h][c] + m)
-                    mat[key] = mat.get(key, 0) + coeff
-        mats[h] = {k: v for k, v in mat.items() if v}
+                    row = offsets[h + 1][r] + mm
+                    col[row] = col.get(row, 0) + coeff
+        mats[h] = {
+            c: kept for c, col in mat.items() if (kept := {r: v for r, v in col.items() if v})
+        }
     return FreeComplex(basis, mats)
 
 
@@ -293,8 +343,11 @@ def test_truncation_matches_one_product_per_labeling():
                 for a in ms:
                     T, want = idempotent_truncate(a, K), per_labeling_truncate(a, K)
                     assert T.basis == want.basis
-                    # entries, and the order they were written in, agree
-                    items = lambda F: [(h, list(m.items())) for h, m in F.mats.items()]
+                    # columns and entries, and the order they were written in, agree
+                    items = lambda F: [
+                        (h, [(c, list(col.items())) for c, col in m.items()])
+                        for h, m in F.mats.items()
+                    ]
                     assert items(T) == items(want)
             C = eliminate(C)
     assert several_terms and negative
