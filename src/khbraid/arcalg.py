@@ -11,7 +11,8 @@ it is computed once as a "schedule" and cached together with a table of
 basis products.  `_surgery_schedule` is the one builder of such schedules:
 it follows the circles of a diagram through a run of saddles, here the
 contractions of v's arcs and in `khbraid.tangle` the single saddle of the
-cup∘cap functor, and `_execute` runs every schedule on labelings.  The
+cup∘cap functor, walking each circle once and then updating only the
+circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
 that; a product of combinations adds up table entries (`multiply_into`),
@@ -54,7 +55,7 @@ class ArcElement:
     @property
     def sdeg(self) -> int:
         d = circles(self.source, self.target)
-        return sdeg(self.source.n, d.c, bin(self.mask).count("1"))
+        return sdeg(self.source.n, d.c, self.mask.bit_count())
 
 
 class ArcCombination:
@@ -146,57 +147,83 @@ def idempotent(w: Matching) -> ArcCombination:
 def _surgery_schedule(arcs, saddles):
     """Merge/split schedule of a run of saddles on a disjoint union of circles.
 
-    ``arcs`` joins nodes in pairs, each node on exactly two arcs, so the
-    components are circles; they start in slots 0, 1, ... in the order of
-    their least node.  A saddle (p, q, r, s) replaces the arcs (p, q) and
-    (r, s) by (p, r) and (q, s): it merges the circles of p and r, or
-    splits their common circle into the halves through p and through q.
-    Every result goes to a fresh slot.
+    The nodes are 0..N-1 with N = len(arcs): ``arcs`` joins nodes in pairs,
+    each node on exactly two arcs, so the components are circles; they
+    start in slots 0, 1, ... in the order of their least node.  A saddle
+    (p, q, r, s) on four distinct nodes replaces the arcs (p, q) and (r, s)
+    by (p, r) and (q, s): it merges the circles of p and r, or splits their
+    common circle into the halves through p and through q.  Every result
+    goes to a fresh slot.
+
+    Each node's two neighbours are a 2-list that a saddle rewires in place,
+    and a circle is found by walking it (previous node, current node), so a
+    build visits each circle once at the start and then only what a saddle
+    changes: a merge relabels the smaller of its two circles into the larger
+    (union by size), and a split walks its two halves.
 
     Returns (ops, slot_of): ops is a list of ("m", s1, s2, dst) /
     ("s", src, d1, d2) for `_execute`, where d1 holds the half through p;
-    slot_of maps every node to the slot of its circle after the last saddle.
+    slot_of is a list, indexed by node, of the slot of the node's circle
+    after the last saddle.
     """
-    nbr: dict[int, list[int]] = {}
+    adj: list[list[int]] = [[] for _ in arcs]
     for x, y in arcs:
-        nbr.setdefault(x, []).append(y)
-        nbr.setdefault(y, []).append(x)
+        adj[x].append(y)
+        adj[y].append(x)
+    circle_of = [-1] * len(adj)  # node -> circle id
 
-    def component(start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for y in nbr[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+    def walk(start: int, c: int) -> list[int]:
+        """The nodes of the circle through start, now labeled circle c."""
+        circle_of[start] = c
+        nodes = [start]
+        prev, cur = start, adj[start][0]
+        while cur != start:
+            circle_of[cur] = c
+            nodes.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        return nodes
 
-    slot_of: dict[int, int] = {}
-    slots = 0
-    for x in sorted(nbr):
-        if x not in slot_of:
-            slot_of.update(dict.fromkeys(component(x), slots))
-            slots += 1
+    members: list[list[int]] = []  # circle id -> its nodes
+    for x in range(len(adj)):
+        if circle_of[x] < 0:
+            members.append(walk(x, len(members)))
+    slot = list(range(len(members)))  # circle id -> slot
+    slots = len(members)
     ops: list[tuple] = []
     for p, q, r, s in saddles:
-        for x, y in ((p, q), (r, s)):
-            nbr[x].remove(y)
-            nbr[y].remove(x)
-        for x, y in ((p, r), (q, s)):
-            nbr[x].append(y)
-            nbr[y].append(x)
-        halves = [component(p)]
-        if slot_of[p] != slot_of[r]:
-            ops.append(("m", slot_of[p], slot_of[r], slots))
-        else:
-            assert q not in halves[0], "surgery on one circle must split it in two"
-            ops.append(("s", slot_of[p], slots, slots + 1))
-            halves.append(component(q))
-        for half in halves:
-            slot_of.update(dict.fromkeys(half, slots))
+        # the arcs (p, q) and (r, s) become (p, r) and (q, s)
+        a = adj[p]
+        a[a.index(q)] = r
+        a = adj[q]
+        a[a.index(p)] = s
+        a = adj[r]
+        a[a.index(s)] = p
+        a = adj[s]
+        a[a.index(r)] = q
+        cp, cr = circle_of[p], circle_of[r]
+        if cp != cr:
+            ops.append(("m", slot[cp], slot[cr], slots))
+            if len(members[cp]) < len(members[cr]):
+                cp, cr = cr, cp
+            for y in members[cr]:
+                circle_of[y] = cp
+            members[cp] += members[cr]
+            members[cr] = []
+            slot[cp] = slots
             slots += 1
-    return ops, slot_of
+        else:
+            half = walk(p, cp)
+            # the halves share out the old circle's nodes, so q lies on p's
+            # half exactly when that half is the whole circle
+            assert len(half) < len(members[cp]), "surgery on one circle must split it in two"
+            ops.append(("s", slot[cp], slots, slots + 1))
+            members[cp] = half
+            members.append(walk(q, len(members)))
+            slot[cp] = slots
+            slot.append(slots + 1)
+            slots += 2
+    return ops, [slot[c] for c in circle_of]
 
 
 _MULT_SCHEDULE_MAXSIZE = 1 << 13

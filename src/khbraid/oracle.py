@@ -245,7 +245,7 @@ def cube_complex(d: Diagram) -> FreeComplex:
     offset: list[int] = []
     basis: dict[int, list[int]] = {}
     for v in range(1 << m):
-        r = bin(v).count("1")
+        r = v.bit_count()
         degs = basis.setdefault(r - nm, [])
         offset.append(len(degs))
         nloops = ncirc[v] + d.free_loops
@@ -277,13 +277,13 @@ def cube_complex(d: Diagram) -> FreeComplex:
                 moved += [mm | bit for mm in moved]
             # the column rides above the scratch bits, so one call maps them all
             col_at = n_tgt + 2
-            sign = -1 if bin(v & ((1 << t) - 1)).count("1") % 2 else 1
+            sign = -1 if (v & ((1 << t) - 1)).bit_count() % 2 else 1
             terms = {col << col_at | mm: sign for col, mm in enumerate(moved)}
             if len(at_src) == 2:
                 terms = mask_merge(terms, scratch, scratch << 1, 1 << at_tgt[0])
             else:
                 terms = mask_split(terms, scratch, 1 << at_tgt[0], 1 << at_tgt[1])
-            mat = mats.setdefault(bin(v).count("1") - nm, {})
+            mat = mats.setdefault(v.bit_count() - nm, {})
             for key, c in terms.items():  # each entry is written once, as ±1
                 mat.setdefault(offset[v] + (key >> col_at), {})[offset[w] + (key & (scratch - 1))] = c
     return FreeComplex(basis, mats)

@@ -99,4 +99,4 @@ def mask_split(terms: dict[int, int], bit_src: int, bit_1: int, bit_2: int) -> d
 
 
 def mask_qdeg(mask: int, c: int) -> int:
-    return c - 2 * bin(mask).count("1")
+    return c - 2 * mask.bit_count()

@@ -101,18 +101,125 @@ def test_associativity_n3_randomized():
         assert multiply(t, multiply(y, x)) == multiply(multiply(t, y), x)
 
 
-def product_in_order(b, a, order):
-    """b*a with the middle arcs contracted in ``order``, by a schedule built
-    here the way `_mult_schedule` builds its own in left-endpoint order."""
-    u, v, w = a.source, a.target, b.target
+def product_surgery(u, v, w, order):
+    """(arcs, saddles) of the product (u,v)*(v,w) with v's arcs contracted in
+    ``order``, numbered the way `_mult_schedule` numbers them: bottom points
+    are nodes 0..2n-1, top points nodes 2n..4n-1."""
     n = u.n
     B = lambda p: p - 1
     T = lambda p: 2 * n + p - 1
     arcs = [(B(p), B(q)) for p, q in u.pairs + v.pairs]
     arcs += [(T(p), T(q)) for p, q in v.pairs + w.pairs]
-    ops, slot_of = _surgery_schedule(arcs, [(B(p), B(q), T(p), T(q)) for p, q in order])
-    finals = [slot_of[B(circ[0])] for circ in circles(u, w).circles]
+    return arcs, [(B(p), B(q), T(p), T(q)) for p, q in order]
+
+
+def cupcap_saddle_surgery(a, b, i):
+    """(arcs, saddles) of the (i, i+1) saddle on C(a, b), numbered the way
+    `khbraid.tangle._saddle_schedule` numbers them."""
+    n = a.n
+    B = lambda p: p - 1
+    T = lambda p: 2 * n + p - 1
+    arcs = [(B(p), B(q)) for p, q in a.pairs] + [(T(p), T(q)) for p, q in b.pairs]
+    arcs += [(B(p), T(p)) for p in range(1, 2 * n + 1)]
+    return arcs, [(B(i), T(i), B(i + 1), T(i + 1))]
+
+
+def product_in_order(b, a, order):
+    """b*a with the middle arcs contracted in ``order``, by a schedule built
+    here the way `_mult_schedule` builds its own in left-endpoint order."""
+    u, v, w = a.source, a.target, b.target
+    ops, slot_of = _surgery_schedule(*product_surgery(u, v, w, order))
+    finals = [slot_of[circ[0] - 1] for circ in circles(u, w).circles]
     return run_schedule(b, a, circles(u, v).c, ops, finals)
+
+
+def reference_schedule(arcs, saddles):
+    """`_surgery_schedule` recomputed the plain way: after every saddle, the
+    circle through p (and through q, on a split) is found again by a
+    depth-first search over the whole diagram.  slot_of is a dict."""
+    nbr = {}
+    for x, y in arcs:
+        nbr.setdefault(x, []).append(y)
+        nbr.setdefault(y, []).append(x)
+
+    def component(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in nbr[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    slot_of = {}
+    slots = 0
+    for x in sorted(nbr):
+        if x not in slot_of:
+            slot_of.update(dict.fromkeys(component(x), slots))
+            slots += 1
+    ops = []
+    for p, q, r, s in saddles:
+        for x, y in ((p, q), (r, s)):
+            nbr[x].remove(y)
+            nbr[y].remove(x)
+        for x, y in ((p, r), (q, s)):
+            nbr[x].append(y)
+            nbr[y].append(x)
+        halves = [component(p)]
+        if slot_of[p] != slot_of[r]:
+            ops.append(("m", slot_of[p], slot_of[r], slots))
+        else:
+            assert q not in halves[0], "surgery on one circle must split it in two"
+            ops.append(("s", slot_of[p], slots, slots + 1))
+            halves.append(component(q))
+        for half in halves:
+            slot_of.update(dict.fromkeys(half, slots))
+            slots += 1
+    return ops, slot_of
+
+
+def assert_same_schedule(arcs, saddles):
+    ops, slot_of = _surgery_schedule(arcs, saddles)
+    ref_ops, ref_slot_of = reference_schedule(arcs, saddles)
+    assert ops == ref_ops, (arcs, saddles)
+    assert slot_of == [ref_slot_of[x] for x in range(len(arcs))], (arcs, saddles)
+    return ops, slot_of
+
+
+def test_surgery_schedule_matches_the_reference_builder():
+    rng = random.Random(13)
+    kinds = set()
+    for n in range(1, 7):
+        ms = enumerate_matchings(n)
+        for _ in range(340):
+            u, v, w = (rng.choice(ms) for _ in range(3))
+            order = list(v.pairs)
+            if rng.random() < 0.3:
+                rng.shuffle(order)
+            ops, _slot_of = assert_same_schedule(*product_surgery(u, v, w, order))
+            kinds.update(op[0] for op in ops)
+        saddles = [(a, b, i) for a in ms for b in ms for i in range(1, 2 * n)]
+        if n > 3:
+            saddles = rng.sample(saddles, 200)
+        for a, b, i in saddles:
+            ops, _slot_of = assert_same_schedule(*cupcap_saddle_surgery(a, b, i))
+            kinds.update(op[0] for op in ops)
+    assert kinds == {"m", "s"}
+
+
+def test_surgery_schedule_two_node_circles():
+    # n = 1: the product merges the two 2-node circles (0 1) and (2 3)
+    (u,) = enumerate_matchings(1)
+    assert assert_same_schedule(*product_surgery(u, u, u, u.pairs)) == (
+        [("m", 0, 1, 2)], [2, 2, 2, 2])
+    # the saddle cuts the 4-node circle 0-1-3-2 into (0 1) and (2 3)
+    assert assert_same_schedule(*cupcap_saddle_surgery(u, u, 1)) == (
+        [("s", 0, 1, 2)], [1, 1, 2, 2])
+    # two saddles: (0 1) and (2 3) merge, and the next saddle splits them again
+    assert assert_same_schedule([(0, 1), (0, 1), (2, 3), (2, 3)],
+                                [(0, 1, 2, 3), (0, 2, 1, 3)]) == (
+        [("m", 0, 1, 2), ("s", 2, 3, 4)], [3, 3, 4, 4])
 
 
 def run_schedule(b, a, cb, ops, finals):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from khbraid.arcalg import _MULT_SCHEDULE_MAXSIZE, _mult_schedule
 from khbraid.homalg import BigradedGroup, Complex
 from khbraid.linkinv import (
     BraidWord,
@@ -225,3 +226,13 @@ def test_result_json_schema():
     assert rec["n"] == 2 and rec["w"] == 1
     assert BigradedGroup.from_json(rec["groups"]) == res.bigraded
     assert rec["jones"] == [[-1, 1], [1, 1]]
+
+
+@pytest.mark.slow
+def test_seven_strand_word_through_an_evicting_schedule_cache():
+    # the U7 unknot word followed by s1^2 closes to the right trefoil; on 7
+    # strands its run asks for more schedule triples than the cache holds
+    _mult_schedule.cache_clear()
+    b = BraidWord.parse("n=7 1 2 3 4 5 6 -1 -2 -3 -4 -5 -6 1 1")
+    assert compute(b, "Z").bigraded.entries == RIGHT_TREFOIL
+    assert _mult_schedule.cache_info().misses > _MULT_SCHEDULE_MAXSIZE
