@@ -15,8 +15,9 @@ cup∘cap functor, walking each circle once and then updating only the
 circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
-that; a product of combinations adds up table entries (`multiply_into`),
-and so does the action of one element on a whole block of basis labelings
+that; a product of combinations adds up table entries (`_add_products`,
+which `multiply` and the module maps of `khbraid.homalg` call), and so does
+the action of one element on a whole block of basis labelings
 (`basis_images`, which the idempotent truncation reads).  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.
@@ -124,10 +125,6 @@ class ArcCombination:
 
     def elements(self) -> list[tuple[ArcElement, int]]:
         return [(ArcElement(self.source, self.target, m), c) for m, c in sorted(self.terms.items())]
-
-    def is_homogeneous(self, q: int) -> bool:
-        c = circles(self.source, self.target).c
-        return all(mask_qdeg(m, c) == q for m in self.terms)
 
 
 def min_generator(source: Matching, target: Matching) -> ArcElement:
@@ -301,40 +298,30 @@ def _add_products(
                 acc[m] = get(m, 0) + scale * p
 
 
-def multiply_into(acc: dict[int, int], b: ArcCombination, a: ArcCombination, k: int = 1) -> None:
-    """Add k * (b*a) into acc, a {mask: coeff} dict of the block (u, w).
-
-    a lies in block (u,v) and b in (v,w); mismatched middle matchings
-    multiply to zero, so nothing is added.  Coefficients that cancel are
-    left in acc as zeros.
-    """
-    if a.target != b.source:
-        return
-    _add_products(acc, _mult_schedule(a.source, a.target, b.target), a.terms, b.terms, k)
-
-
 def multiply(b: ArcCombination, a: ArcCombination) -> ArcCombination:
     """Product b*a for a in block (u,v), b in block (v,w); lands in (u,w).
 
     Mismatched middle matchings multiply to zero (orthogonal idempotents).
     """
     acc: dict[int, int] = {}
-    multiply_into(acc, b, a)
+    if a.target == b.source:
+        _add_products(acc, _mult_schedule(a.source, a.target, b.target), a.terms, b.terms, 1)
     return ArcCombination(a.source, b.target, acc)
 
 
-def basis_images(g: ArcCombination, u: Matching) -> list[dict[int, int]]:
-    """g*m for every basis labeling m of the block (u, g.source), indexed by m.
+def basis_images(terms: dict[int, int], u: Matching, v: Matching, w: Matching) -> list[dict[int, int]]:
+    """g*m for every basis labeling m of the block (u, v), indexed by m, for
+    the element g of the block (v, w) with these {mask: coeff} terms.
 
-    Each image is a {mask: coeff} dict of the block (u, g.target); zero
+    Each image is a {mask: coeff} dict of the block (u, w); zero
     coefficients may be left in it.  One schedule lookup serves the whole
-    block, and every product is read from the table `multiply_into` fills.
+    block, and every product is read from its basis-product table.
     """
-    schedule = _mult_schedule(u, g.source, g.target)
+    schedule = _mult_schedule(u, v, w)
     images = []
     for m in range(1 << schedule[0]):
         img: dict[int, int] = {}
-        _add_products(img, schedule, {m: 1}, g.terms, 1)
+        _add_products(img, schedule, {m: 1}, terms, 1)
         images.append(img)
     return images
 
@@ -427,12 +414,12 @@ def verify_positivity(n: int) -> dict:
         for v in ms:
             xs = block_basis(u, v)
             for w in ms:
-                ys = [(y, ArcCombination.from_element(y)) for y in block_basis(v, w)]
+                schedule = _mult_schedule(u, v, w)
+                ys = block_basis(v, w)
                 for x in xs:
-                    cx = ArcCombination.from_element(x)
-                    for y, cy in ys:
+                    for y in ys:
                         p: dict[int, int] = {}
-                        multiply_into(p, cy, cx)
+                        _add_products(p, schedule, {x.mask: 1}, {y.mask: 1}, 1)
                         scanned += 1
                         bad = {m: c for m, c in p.items() if c < 0}
                         if bad:

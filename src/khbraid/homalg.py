@@ -4,7 +4,8 @@ Conventions, fixed once:
 
 * P_w is the projective with block column Hom(P_w', P_w) = labelings of
   circles(w', w); a map P_a -> P_b is an element g of block (a, b) acting by
-  post-composition m -> multiply(g, m).
+  post-composition m -> g·m.  A `ModuleMap` entry holds only g's
+  {mask: coeff} terms: the summands it connects fix its block.
 * The quantum degree of m in a summand P_b{t} is qdeg(m) + t, so a map
   P_a{s} -> P_b{t} is quantum-degree 0 exactly when every labeling of its
   entry has qdeg = n + s - t.  Differentials must be quantum-degree 0.
@@ -18,9 +19,9 @@ column adjacency, so a pivot costs only the entries it touches; the
 survivors are renumbered once at the end.
 
 `idempotent_truncate` applies Hom(P_a, -) by table reads: each entry g of
-a differential looks up its surgery schedule once and reads g·m, for every
-basis labeling m of the block (a, g.source), from that schedule's table of
-basis products (`arcalg.basis_images`), the table every product fills.
+a differential, P_b -> P_c, looks up its surgery schedule once and reads
+g·m, for every basis labeling m of the block (a, b), from that schedule's
+table of basis products (`arcalg.basis_images`), which every product fills.
 
 A free complex (`FreeComplex`, made by `idempotent_truncate` and by the
 cube in `oracle`) holds each differential once, by columns:
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .planar import Matching, circles
-from .arcalg import ArcCombination, basis_images, multiply_into, idempotent
+from .arcalg import _add_products, _mult_schedule, basis_images
 from .arcalg import multiply  # kept: perfbench/tracer.py patches homalg.multiply
 from .tqft import mask_qdeg
 
@@ -66,8 +67,10 @@ class ProjSummand:
 class ModuleMap:
     """Matrix of block elements between direct sums of projectives.
 
-    entries[(r, c)] is an ArcCombination in block (source[c].matching,
-    target[r].matching); absent keys are zero.
+    entries[(r, c)] is the {mask: coeff} dict, with no zero coefficient, of
+    an element of the block (source[c].matching, target[r].matching), which
+    the entry does not repeat.  Absent keys are zero; the constructor drops
+    empty entries, and `Complex.validate` checks each one against its block.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -76,61 +79,36 @@ class ModuleMap:
         self,
         source: tuple[ProjSummand, ...],
         target: tuple[ProjSummand, ...],
-        entries: dict[tuple[int, int], ArcCombination] | None = None,
+        entries: dict[tuple[int, int], dict[int, int]] | None = None,
     ):
         self.source = tuple(source)
         self.target = tuple(target)
-        self.entries = {}
-        for (r, c), g in (entries or {}).items():
-            if not g:
-                continue
-            if g.source != self.source[c].matching or g.target != self.target[r].matching:
-                raise ValueError(f"entry ({r},{c}) lies in the wrong block")
-            self.entries[(r, c)] = g
-
-    def is_q_homogeneous(self) -> bool:
-        for (r, c), g in self.entries.items():
-            n = g.source.n
-            want = n + self.source[c].qshift - self.target[r].qshift
-            if not g.is_homogeneous(want):
-                return False
-        return True
+        self.entries = {rc: terms for rc, terms in (entries or {}).items() if terms}
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other (matrix product via the surgery product)."""
         if other.target != self.source:
             raise ValueError("compose: mismatched middles")
+        src, mid, tgt = other.source, self.source, self.target
         acc: dict[tuple[int, int], dict[int, int]] = {}
-        by_col: dict[int, list[tuple[int, ArcCombination]]] = {}
+        by_col: dict[int, list[tuple[int, dict[int, int]]]] = {}
         for (k, c), g in other.entries.items():
             by_col.setdefault(c, []).append((k, g))
-        by_row: dict[int, list[tuple[int, ArcCombination]]] = {}
+        by_row: dict[int, list[tuple[int, dict[int, int]]]] = {}
         for (r, k), f in self.entries.items():
             by_row.setdefault(k, []).append((r, f))
         for c, lows in by_col.items():
+            u = src[c].matching
             for k, g in lows:
+                v = mid[k].matching
                 for r, f in by_row.get(k, ()):
                     terms = acc.get((r, c))
                     if terms is None:
                         terms = acc[(r, c)] = {}
-                    multiply_into(terms, f, g)
-        src, tgt = other.source, self.target
+                    _add_products(terms, _mult_schedule(u, v, tgt[r].matching), g, f, 1)
         return ModuleMap(src, tgt, {
-            (r, c): ArcCombination(src[c].matching, tgt[r].matching, terms)
-            for (r, c), terms in acc.items()
-            if any(terms.values())
+            rc: {m: x for m, x in terms.items() if x} for rc, terms in acc.items()
         })
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    @classmethod
-    def identity(cls, summands: tuple[ProjSummand, ...]) -> "ModuleMap":
-        return cls(summands, summands, {(k, k): idempotent(s.matching) for k, s in enumerate(summands)})
-
-    @classmethod
-    def zero_map(cls, source, target) -> "ModuleMap":
-        return cls(tuple(source), tuple(target), {})
 
 
 class Complex:
@@ -147,20 +125,28 @@ class Complex:
         self.terms = {h: tuple(t) for h, t in terms.items() if t}
         self.diffs = {}
         for h, d in diffs.items():
-            if h in self.terms and h + 1 in self.terms and not d.is_zero():
+            if h in self.terms and h + 1 in self.terms and d.entries:
                 self.diffs[h] = d
         if check:
             self.validate()
 
     def validate(self):
+        """Shapes, every entry in its block with qdeg 0, d^2 = 0; else ValueError."""
         for h, d in self.diffs.items():
             if d.source != self.terms[h] or d.target != self.terms.get(h + 1, ()):
                 raise ValueError(f"differential at {h} has wrong shape")
-            if not d.is_q_homogeneous():
-                raise ValueError(f"differential at {h} is not quantum-degree 0")
+            for (r, c), terms in d.entries.items():
+                s, t = d.source[c], d.target[r]
+                k = circles(s.matching, t.matching).c
+                want = s.matching.n + s.qshift - t.qshift
+                for m, v in terms.items():
+                    if not v or m >> k:
+                        raise ValueError(f"differential at {h}: entry ({r},{c}) has a zero or a mask outside its block")
+                    if mask_qdeg(m, k) != want:
+                        raise ValueError(f"differential at {h} is not quantum-degree 0")
         for h in self.diffs:
             if h + 1 in self.diffs:
-                if not self.diffs[h + 1].compose(self.diffs[h]).is_zero():
+                if self.diffs[h + 1].compose(self.diffs[h]).entries:
                     raise ValueError(f"d^2 != 0 between degrees {h} and {h+2}")
 
     def summands(self, h: int) -> tuple[ProjSummand, ...]:
@@ -169,7 +155,7 @@ class Complex:
     def differential(self, h: int) -> ModuleMap:
         if h in self.diffs:
             return self.diffs[h]
-        return ModuleMap.zero_map(self.terms.get(h, ()), self.terms.get(h + 1, ()))
+        return ModuleMap(self.terms.get(h, ()), self.terms.get(h + 1, ()))
 
     def size(self) -> int:
         return sum(len(t) for t in self.terms.values())
@@ -205,10 +191,11 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
     Terms C^{h+1} (+) D^h, differential [[-d_C, 0], [f, d_D]].  The only
     off-diagonal block of its square is f d_C - d_D f, so the d^2 check of
     the cone (ValueError) rejects an f that is not a chain map; the same
-    check rejects an f that is not quantum-degree 0, and a d_C or d_D whose
-    square is not zero.  `unit_map` and `counit_map` do not check their
-    maps, so for a twist this is the one chain-map check per letter, and a
-    bad unit or counit raises its ValueError.
+    `Complex.validate` rejects an entry of f, d_C or d_D that is not
+    quantum-degree 0 or not an element of its block, and a d_C or d_D whose
+    square is not zero.  `unit_map`, `counit_map`, `cupcap_functor` and
+    `eliminate` do not check what they build, so for a twist this is the
+    one check per letter, and a bad unit or counit raises its ValueError.
     """
     degrees = set()
     for h in C.terms:
@@ -222,15 +209,14 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
         if h + 1 not in terms:
             continue
         nc = len(C.summands(h + 1))
-        entries: dict[tuple[int, int], ArcCombination] = {}
+        entries: dict[tuple[int, int], dict[int, int]] = {}
         for (r, c), g in C.differential(h + 1).entries.items():
-            entries[(r, c)] = -g
-        for (r, c), g in f.get(h + 1, ModuleMap.zero_map(C.summands(h + 1), D.summands(h + 1))).entries.items():
+            entries[(r, c)] = {m: -v for m, v in g.items()}
+        for (r, c), g in (f[h + 1].entries if h + 1 in f else {}).items():
             entries[(len(C.summands(h + 2)) + r, c)] = g
         for (r, c), g in D.differential(h).entries.items():
             entries[(len(C.summands(h + 2)) + r, nc + c)] = g
-        dm = ModuleMap(terms[h], terms[h + 1], entries)
-        diffs[h] = dm
+        diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
     return Complex(terms, diffs)
 
 
@@ -238,17 +224,16 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
 # Gaussian elimination of complexes
 
 
-def _invertible_entry(g: ArcCombination, src: ProjSummand, tgt: ProjSummand) -> int | None:
+def _invertible_entry(g: dict[int, int], src: ProjSummand, tgt: ProjSummand) -> int | None:
     """+1/-1 when the entry is exactly (+/-) the idempotent, else None.
 
     The coefficient test (one term, at mask 0, with coefficient +/-1) runs
     first; it is cheap and rejects almost every entry before the summands
     are compared.
     """
-    terms = g.terms
-    if len(terms) != 1:
+    if len(g) != 1:
         return None
-    s = terms.get(0)
+    s = g.get(0)
     if s != 1 and s != -1:
         return None
     if src.matching != tgt.matching or src.qshift != tgt.qshift:
@@ -273,7 +258,7 @@ def eliminate(C: Complex) -> Complex:
     been deleted or changed while it waited.
     """
     terms = {h: dict(enumerate(t)) for h, t in C.terms.items()}
-    rows: dict[int, dict[int, dict[int, ArcCombination]]] = {}
+    rows: dict[int, dict[int, dict[int, dict[int, int]]]] = {}
     cols: dict[int, dict[int, set[int]]] = {}
     queue: deque[tuple[int, int, int]] = deque()
     for h, d in C.diffs.items():
@@ -302,20 +287,22 @@ def eliminate(C: Complex) -> Complex:
             cols_h[c].discard(pr)
         gamma = cols_h.pop(pc)
         gamma.discard(pr)
-        # correction: d[r,c] -= s * d[r,pc] . d[pr,c]
+        # correction: d[r,c] -= s * d[r,pc] . d[pr,c], through P_pc = P_pr
+        v = src[pc].matching
         for r in gamma:
             row = rows_h[r]
             g_r = row.pop(pc)
+            w = tgt[r].matching
             for c, g_c in delta.items():
                 corr: dict[int, int] = {}
-                multiply_into(corr, g_r, g_c, -s)
+                _add_products(corr, _mult_schedule(src[c].matching, v, w), g_c, g_r, -s)
                 if not any(corr.values()):
                     continue
                 old = row.get(c)
                 if old is not None:
-                    for m, v in old.terms.items():
-                        corr[m] = corr.get(m, 0) + v
-                new = ArcCombination(g_c.source, g_r.target, corr)
+                    for m, x in old.items():
+                        corr[m] = corr.get(m, 0) + x
+                new = {m: x for m, x in corr.items() if x}
                 if not new:
                     del row[c]
                     cols_h[c].discard(r)
@@ -400,9 +387,11 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
     for h, d in C.diffs.items():
         mat: dict[int, dict[int, int]] = {}
         src_offs, tgt_offs = offsets[h], offsets[h + 1]
+        src, tgt = C.terms[h], C.terms[h + 1]
         for (r, c), g in d.entries.items():
             row0 = tgt_offs[r]
-            for col, img in enumerate(basis_images(g, a), src_offs[c]):
+            images = basis_images(g, a, src[c].matching, tgt[r].matching)
+            for col, img in enumerate(images, src_offs[c]):
                 column = mat.setdefault(col, {})
                 for mm, coeff in img.items():
                     if coeff:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .planar import horseshoe
+from .planar import horseshoe, parse_int
 from .homalg import BigradedGroup, Complex, eliminate, homology, idempotent_truncate
 from .tangle import cupcap_functor, twist
 
@@ -71,7 +71,8 @@ class BraidWord:
     @classmethod
     def parse(cls, text: str, strands: int | None = None) -> "BraidWord":
         """Grammar: optional header "n=<strands>", then whitespace-separated
-        signed integers, e.g. "n=2 1 1 1"."""
+        signed integers, e.g. "n=2 1 1 1"; every integer is [+-]?[0-9]+ in
+        ASCII digits (`planar.parse_int`)."""
         toks = text.replace(",", " ").split()
         word = []
         header = None
@@ -80,7 +81,7 @@ class BraidWord:
                 if header is not None:
                     raise ValueError("the n= header appears twice")
                 try:
-                    header = int(t[2:])
+                    header = parse_int(t[2:])
                 except ValueError:
                     raise ValueError(f"bad header {t!r} in braid word {text!r}; want n=<strands>") from None
                 if strands is not None and header != strands:
@@ -88,7 +89,7 @@ class BraidWord:
                 strands = header
             else:
                 try:
-                    k = int(t)
+                    k = parse_int(t)
                 except ValueError:
                     raise ValueError(f"bad token {t!r} in braid word {text!r}; want a signed integer") from None
                 if k == 0:

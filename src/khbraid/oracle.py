@@ -12,6 +12,7 @@ complex is shifted by [-n_minus]{n_plus - 2 n_minus} as usual.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .homalg import BigradedGroup, FreeComplex, homology
@@ -162,10 +163,10 @@ def parse_pd(text: str) -> Diagram:
             raise ValueError(f"bad PD line: {line!r}")
         body = line[line.index("(") + 1 : -1]
         head = line[1 : line.index("(")]
-        try:
-            a, b, c, d = map(int, body.replace(",", " ").split())
-        except ValueError:
-            raise ValueError(f"bad PD line: {line!r}; want four integer edge labels") from None
+        labels = body.replace(",", " ").split()
+        if len(labels) != 4 or not all(re.fullmatch(r"[+-]?[0-9]+", e) for e in labels):
+            raise ValueError(f"bad PD line: {line!r}; want four integer edge labels")
+        a, b, c, d = map(int, labels)
         if head == "+":
             crossings.append(Crossing((a, b, c, d), 1))
         elif head == "-":

@@ -13,6 +13,7 @@ computation reaches; no per-n table is built ahead, since C_n grows as 4^n.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -95,6 +96,14 @@ def format_matching(w: Matching) -> str:
     return "".join(f"({a} {b})" for a, b in w.pairs)
 
 
+def parse_int(token: str) -> int:
+    """A decimal integer token, [+-]?[0-9]+ in ASCII digits; int() alone
+    would also take underscores and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_matching(text: str) -> Matching:
     """Inverse of :func:`format_matching`; whitespace between groups is ok."""
     body = text.replace(",", " ").strip()
@@ -104,7 +113,7 @@ def parse_matching(text: str) -> Matching:
         group, body = body[:close], body[close:].strip()
         nums = group[1:-1].split() if group[0] + group[-1] == "()" else []
         try:
-            a, b = map(int, nums)
+            a, b = map(parse_int, nums)
         except ValueError:
             raise ValueError(f"bad group {group!r} in matching notation {text!r}; want (a b)") from None
         pairs.append((a, b))

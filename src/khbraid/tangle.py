@@ -24,6 +24,10 @@ the x-labeled summand and by multiplication with the degree-2 center
 element at i into/out of the 1-labeled summand; on other summands by the
 minimal-degree generator of the codimension-one block.  All coefficients
 are +1.
+
+Entries are {mask: coeff} dicts, whose blocks their summands fix, so the
+identity and the minimal generator are both {0: 1}.  Nothing here checks
+what it builds; the twist's cone validates it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through, enumerate_matchings
-from .arcalg import ArcCombination, _execute, _surgery_schedule, idempotent
+from .arcalg import _execute, _surgery_schedule
 from .homalg import Complex, ModuleMap, ProjSummand, cone
 from .homalg import is_chain_map  # kept: perfbench/tracer.py patches tangle.is_chain_map
 from .homalg import eliminate, homology, idempotent_truncate
@@ -42,28 +46,16 @@ from .homalg import eliminate, homology, idempotent_truncate
 
 
 @lru_cache(maxsize=None)
-def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, tuple[int, ...]]:
-    """(index of the new small circle, old circle index -> new index).
+def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, ...]:
+    """Circle k of C(u, v) -> its index in the cup-inserted diagram, whose
+    one other circle is the new small one through i, i+1.
 
     Cached: u, v have n-1 arcs and 1 <= i <= 2n-1, so at most
     (2n-1)*C_{n-1}^2 entries for each n reached."""
     cu, cv = cup_insert(i, u), cup_insert(i, v)
     big = circles(cu, cv)
-    small = big.circle_of(i)
-    old = circles(u, v)
     shift = lambda p: p if p < i else p + 2
-    remap = tuple(big.circle_of(shift(circ[0])) for circ in old.circles)
-    return small, remap
-
-
-def _cup_entry(i: int, g: ArcCombination) -> ArcCombination:
-    """Kunneth embedding of a block element: new (i,i+1) circle labeled 1."""
-    _small, remap = _cup_circle_map(i, g.source, g.target)
-    finals = [len(remap)] * (len(remap) + 1)  # the small circle reads an unset bit
-    for k, kk in enumerate(remap):
-        finals[kk] = k
-    terms = _execute(dict(g.terms), (), finals)
-    return ArcCombination(cup_insert(i, g.source), cup_insert(i, g.target), terms)
+    return tuple(big.circle_of(shift(circ[0])) for circ in circles(u, v).circles)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
     blank = ops[0][-1] + 1  # one past the last slot the saddle writes
     a_down, _ = cap_apply(i, a)
     b_down, _ = cap_apply(i, b)
-    _small, remap = _cup_circle_map(i, a_down, b_down)
+    remap = _cup_circle_map(i, a_down, b_down)
     finals = [blank] * (len(remap) + 3)
     unshifted = lambda p: p if p < i else p + 2
     for circ, k in zip(circles(a_down, b_down).circles, remap):
@@ -111,27 +103,27 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
 
 
 def _transformed_components(
-    i: int, g: ArcCombination
-) -> dict[tuple[int | None, int | None], ArcCombination]:
-    """Saddle transform of g, split into (source label, target label) parts.
+    i: int, a: Matching, b: Matching, terms: dict[int, int]
+) -> dict[tuple[int | None, int | None], dict[int, int]]:
+    """Saddle transform of the element of block (a, b) with these terms,
+    split into (source label, target label) parts.
 
     The source circle label p addresses the summand with the complementary
     label (Frobenius pairing), so components are keyed by u = 1 - p there;
     the target label keys directly, and a side that closes no circle keys
-    None.  Each part lies in the block of the cupcap_through images, with
-    the new (i,i+1) circle labeled 1; a part may be zero.
+    None.  Each part is the {mask: coeff} dict, with no zero coefficient,
+    of a nonzero element of the block of the cupcap_through images of a and
+    b, with the new (i,i+1) circle labeled 1.
     """
-    a, b = g.source, g.target
     ops, finals = _saddle_schedule(a, b, i)
     c = len(finals) - 2
     closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
-    for m, coeff in _execute(dict(g.terms), ops, finals).items():
+    for m, coeff in _execute(dict(terms), ops, finals).items():
         u = 1 - (m >> c & 1) if closes_a else None
         v = m >> (c + 1) & 1 if closes_b else None
         comps.setdefault((u, v), {})[m & ((1 << c) - 1)] = coeff
-    a_up, b_up = cupcap_through(i, a)[0], cupcap_through(i, b)[0]
-    return {key: ArcCombination(a_up, b_up, terms) for key, terms in comps.items()}
+    return {key: kept for key, part in comps.items() if (kept := {m: x for m, x in part.items() if x})}
 
 
 def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int]]]]:
@@ -154,10 +146,11 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
         terms[h] = tuple(flat)
     diffs: dict[int, ModuleMap] = {}
     for h, d in C.diffs.items():
-        entries: dict[tuple[int, int], ArcCombination] = {}
+        entries: dict[tuple[int, int], dict[int, int]] = {}
         for (r, c), g in d.entries.items():
             src, tgt = images[h][c], images[h + 1][r]
-            for (u, v), gg in _transformed_components(i, g).items():
+            a, b = C.terms[h][c].matching, C.terms[h + 1][r].matching
+            for (u, v), gg in _transformed_components(i, a, b, g).items():
                 entries[(tgt[v], src[u])] = gg
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
     layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
@@ -168,14 +161,9 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
 # unit and counit
 
 
-def _x_at(i: int, w: Matching) -> ArcCombination:
+def _x_at(i: int, w: Matching) -> dict[int, int]:
     """x on the circle of C(w,w) through point i, 1 elsewhere (= v_i e_w)."""
-    k = circles(w, w).circle_of(i)
-    return ArcCombination(w, w, {1 << k: 1})
-
-
-def _alpha(a: Matching, b: Matching) -> ArcCombination:
-    return ArcCombination(a, b, {0: 1})
+    return {1 << circles(w, w).circle_of(i): 1}
 
 
 def unit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
@@ -186,16 +174,15 @@ def unit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
     D = D0.shift_q(1)
     f: dict[int, ModuleMap] = {}
     for h, summands in C.terms.items():
-        entries: dict[tuple[int, int], ArcCombination] = {}
+        entries: dict[tuple[int, int], dict[int, int]] = {}
         for k, s in enumerate(summands):
             a = s.matching
             positions = layout[h][k]
             if (i, i + 1) in a.pairs:
-                entries[(positions[1], k)] = idempotent(a)  # into the x summand
-                entries[(positions[0], k)] = _x_at(i, a)  # into the 1 summand
+                entries[(positions[1], k)] = {0: 1}  # e_a into the x summand
+                entries[(positions[0], k)] = _x_at(i, a)  # v_i into the 1 summand
             else:
-                through, _ = cupcap_through(i, a)
-                entries[(positions[0], k)] = _alpha(a, through)
+                entries[(positions[0], k)] = {0: 1}  # the minimal generator
         f[h] = ModuleMap(C.terms[h], D.terms[h], entries)
     return f, D
 
@@ -208,16 +195,14 @@ def counit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
     D = D0.shift_q(-1)
     f: dict[int, ModuleMap] = {}
     for h, summands in C.terms.items():
-        entries: dict[tuple[int, int], ArcCombination] = {}
+        entries: dict[tuple[int, int], dict[int, int]] = {}
         for k, s in enumerate(summands):
             a = s.matching
             positions = layout[h][k]
+            # e_a from the 1 summand, or the minimal generator
+            entries[(k, positions[0])] = {0: 1}
             if (i, i + 1) in a.pairs:
-                entries[(k, positions[0])] = idempotent(a)  # from the 1 summand
-                entries[(k, positions[1])] = _x_at(i, a)  # from the x summand
-            else:
-                through, _ = cupcap_through(i, a)
-                entries[(k, positions[0])] = _alpha(through, a)
+                entries[(k, positions[1])] = _x_at(i, a)  # v_i from the x summand
         f[h] = ModuleMap(D.terms[h], C.terms[h], entries)
     return f, D
 

@@ -33,12 +33,9 @@ from khbraid.planar import (
     mixed,
     plait,
 )
-from khbraid.tangle import (
-    _cup_entry,
-    verify_braid_relations,
-    verify_twist_inverse,
-)
+from khbraid.tangle import verify_braid_relations, verify_twist_inverse
 from khbraid.tqft import mask_qdeg
+from test_tangle import cup_entry
 
 
 def _report(capsys, line: str):
@@ -241,8 +238,8 @@ def test_criterion_4_functor_suite(capsys):
         for i in (1, 2, 3):
             for x in block_basis(u, v):
                 for y in block_basis(v, w):
-                    lhs = _cup_entry(i, multiply(comb(y), comb(x)))
-                    rhs = multiply(_cup_entry(i, comb(y)), _cup_entry(i, comb(x)))
+                    lhs = cup_entry(i, multiply(comb(y), comb(x)))
+                    rhs = multiply(cup_entry(i, comb(y)), cup_entry(i, comb(x)))
                     if lhs != rhs:
                         problems.append(("cup-strict", 2, i))
     rng = random.Random(8)
@@ -252,12 +249,12 @@ def test_criterion_4_functor_suite(capsys):
         i = rng.randint(1, 5)
         x = comb(rng.choice(block_basis(u, v)))
         y = comb(rng.choice(block_basis(v, w)))
-        if _cup_entry(i, multiply(y, x)) != multiply(_cup_entry(i, y), _cup_entry(i, x)):
+        if cup_entry(i, multiply(y, x)) != multiply(cup_entry(i, y), cup_entry(i, x)):
             problems.append(("cup-strict", 3, i))
     for n in (1, 2):
         for w in enumerate_matchings(n):
             for i in range(1, 2 * n + 2):
-                if _cup_entry(i, idempotent(w)) != idempotent(cup_insert(i, w)):
+                if cup_entry(i, idempotent(w)) != idempotent(cup_insert(i, w)):
                     problems.append(("cup-idempotent", n + 1, i))
 
     # graded adjunction dimension identity for every (a, b, i), n <= 3

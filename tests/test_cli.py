@@ -218,6 +218,35 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert rc == 0
 
 
+def test_integer_tokens_are_ascii_digits_only(capsys, tmp_path):
+    # int() would read "1_1" as 11 and Arabic-Indic digits as 1, 2, ...
+    pd = {"underscore": "X+(1_0,2,3,4)", "arabic": "X+(١,2,3,4)"}
+    bad = [
+        ("compute", "--braid", "n=12 1_1"),
+        ("compute", "--braid", "n=3 ١ -٢"),
+        ("compute", "--braid", "n=٣ 1 -2"),
+        ("compute", "--braid", "n=1_2 1"),
+        ("arc-dump", "-n", "1", "--source", "(١ 2)"),
+        ("arc-dump", "-n", "1", "--source", "(1 2_0)"),
+    ]
+    for name, code in pd.items():
+        path = tmp_path / f"{name}.pd"
+        path.write_text(code + "\n", encoding="utf-8")
+        bad.append(("oracle", "--pd", str(path)))
+    for argv in bad:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "error:" in err, (argv, err)
+    # an explicit + sign is still an integer
+    rc, out, _ = run(capsys, "compute", "--braid", "n=+2 +1 +1 +1")
+    assert rc == 0 and json.loads(out)["link"] == "n=2 1 1 1"
+    rc, out, _ = run(capsys, "arc-dump", "-n", "1", "--source", "(+1 +2)")
+    assert rc == 0 and all(p["right"]["source"] == "(1 2)" for p in json.loads(out)["products"])
+    path = tmp_path / "trefoil.pd"
+    path.write_text("X+(+2,4,3,1)\nX+(4,+6,5,3)\nX+(6,2,1,+5)\n")
+    rc, out, _ = run(capsys, "oracle", "--pd", str(path))
+    assert rc == 0 and json.loads(out)["groups"] == json.loads(run(capsys, "oracle", "--braid", "n=2 1 1 1")[1])["groups"]
+
+
 def test_skein_reads_coefficients(capsys, monkeypatch):
     monkeypatch.delenv("KH_COEFFS", raising=False)
     rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")

@@ -32,6 +32,18 @@ def single(w, q=0):
     return Complex.single(w, q)
 
 
+def entry(d, rc):
+    """Entry rc of the ModuleMap d as an ArcCombination, its block read from
+    the summands of d."""
+    r, c = rc
+    return ArcCombination(d.source[c].matching, d.target[r].matching, d.entries.get(rc))
+
+
+def identity(summands):
+    """The identity ModuleMap of a direct sum: e_w on the diagonal."""
+    return ModuleMap(summands, summands, {(k, k): {0: 1} for k in range(len(summands))})
+
+
 def by_col(entries):
     """{(row, col): v} in the column layout {col: {row: v}}, in write order."""
     cols = {}
@@ -315,7 +327,8 @@ def per_labeling_truncate(a, C):
     mats = {}
     for h, d in C.diffs.items():
         mat = {}
-        for (r, c), g in d.entries.items():
+        for r, c in d.entries:
+            g = entry(d, (r, c))
             for m in range(1 << circles(a, g.source).c):
                 col = mat.setdefault(offsets[h][c] + m, {})
                 img = multiply(g, ArcCombination(a, g.source, {m: 1}))
@@ -337,7 +350,7 @@ def test_truncation_matches_one_product_per_labeling():
         for _ in range(rng.randint(3, 5)):
             C = twist(rng.randint(1, 2 * n - 1), rng.choice((1, -1)), C)
             for K in (C, eliminate(C)):
-                for g in (g for d in K.diffs.values() for g in d.entries.values()):
+                for g in (entry(d, rc) for d in K.diffs.values() for rc in d.entries):
                     several_terms += len(g.terms) > 1
                     negative += min(g.terms.values()) < 0
                 for a in ms:
@@ -356,7 +369,7 @@ def test_truncation_matches_one_product_per_labeling():
 def test_cone_of_identity_is_acyclic():
     for w in enumerate_matchings(2):
         C = single(w)
-        f = {0: ModuleMap.identity(C.terms[0])}
+        f = {0: identity(C.terms[0])}
         K = cone(f, C, C)
         for a in enumerate_matchings(2):
             assert homology(idempotent_truncate(a, K)).entries == {}
@@ -381,11 +394,11 @@ def test_cone_rejects_non_chain_maps():
             0: ModuleMap(
                 (ProjSummand(m2, 0),),
                 (ProjSummand(p2, 1),),
-                {(0, 0): ArcCombination.from_element(min_generator(m2, p2))},
+                {(0, 0): ArcCombination.from_element(min_generator(m2, p2)).terms},
             )
         },
     )
-    bad = {0: ModuleMap.identity(C.terms[0])}
+    bad = {0: identity(C.terms[0])}
     assert not is_chain_map(bad, C, C)
     with pytest.raises(ValueError):
         cone(bad, C, C)
@@ -458,7 +471,7 @@ def _complexes_to_eliminate():
         src = (ProjSummand(w, 0),) * rng.randint(1, 4)
         tgt = (ProjSummand(w, 0),) * rng.randint(1, 4)
         entries = {
-            (r, c): ArcCombination(w, w, {0: v})
+            (r, c): {0: v}
             for r in range(len(tgt))
             for c in range(len(src))
             if (v := rng.randint(-2, 2))
@@ -501,16 +514,42 @@ def test_module_map_composition_is_matrix_product():
     f = ModuleMap(
         (ProjSummand(p2, 0),),
         (ProjSummand(m2, -1),),
-        {(0, 0): ArcCombination.from_element(min_generator(p2, m2))},
+        {(0, 0): ArcCombination.from_element(min_generator(p2, m2)).terms},
     )
     g = ModuleMap(
         (ProjSummand(m2, -1),),
         (ProjSummand(p2, -2),),
-        {(0, 0): ArcCombination.from_element(min_generator(m2, p2))},
+        {(0, 0): ArcCombination.from_element(min_generator(m2, p2)).terms},
     )
     gf = g.compose(f)
     expected = ArcCombination(p2, p2, {0b01: 1, 0b10: 1})
-    assert gf.entries[(0, 0)] == expected
+    assert entry(gf, (0, 0)) == expected
+
+
+def test_complex_checks_that_every_entry_lies_in_its_block():
+    # P_mix{0} -> P_plait{1}: the block (mix, plait) has one circle, and the
+    # entry must have qdeg n + 0 - 1 = 1, which the all-1 labeling has
+    p2, m2 = plait(2), mixed(2)
+    src, tgt = (ProjSummand(m2, 0),), (ProjSummand(p2, 1),)
+    assert circles(m2, p2).c == 1 and mask_qdeg(0, 1) == 1
+
+    def build(terms):
+        return Complex({0: src, 1: tgt}, {0: ModuleMap(src, tgt, {(0, 0): terms})})
+
+    assert build({0: 1}).diffs[0].entries == {(0, 0): {0: 1}}
+    for bad, message in (
+        ({0b10: 1}, "outside its block"),  # a bit at the block's circle count
+        ({0: 1, 0b10: 1}, "outside its block"),
+        ({0: 0}, "has a zero"),  # a zero coefficient
+        ({0: 1, 0b1: 0}, "has a zero"),
+        ({0b1: 1}, "not quantum-degree 0"),  # the x labeling has qdeg -1
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+    # an empty entry is no entry, and a map of empty entries is zero
+    C = build({})
+    assert C.diffs == {}
+    assert ModuleMap(src, tgt, {(0, 0): {}}).entries == {}
 
 
 def test_bigraded_group_json_roundtrip():
