@@ -17,7 +17,7 @@ from .arcalg import multiplication_table, verify_positivity
 from .homalg import BigradedGroup, coefficient_characteristic
 from .linkinv import BraidWord, compute, verify_markov, verify_skein
 from .oracle import braid_to_pd, cube_homology, format_pd, parse_pd
-from .planar import parse_matching
+from .planar import parse_int, parse_matching
 from .tangle import verify_braid_relations
 
 
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, braid=True):
         if braid:
             p.add_argument("--braid", help='braid word, e.g. "1 1 1" or "n=2 1 1 1"')
-            p.add_argument("-n", type=int, help="number of strands (alternative to the n= header)")
+            p.add_argument("-n", type=parse_int, help="number of strands (alternative to the n= header)")
         p.add_argument("--coeffs", help="Z (default; Q for verify skein), Q, or Fp such as F2")
         p.add_argument("-o", "--output", help="output path (default stdout)")
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("arc-dump", help="basis sizes and multiplication table of H_n")
-    p.add_argument("-n", type=int)
+    p.add_argument("-n", type=parse_int)
     p.add_argument("-o", "--output")
     p.add_argument("--source", help='restrict to products from this matching, e.g. "(1 2)(3 4)"')
     p.add_argument("--target", help="restrict to products into this matching")
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="structural verification suites")
     p.add_argument("what", choices=["markov", "skein", "braid-relations", "positivity"])
     common(p)
-    p.add_argument("--crossing", type=int, help="skein: single crossing index (default all)")
+    p.add_argument("--crossing", type=parse_int, help="skein: single crossing index (default all)")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -27,16 +27,21 @@ A free complex (`FreeComplex`, made by `idempotent_truncate` and by the
 cube in `oracle`) holds each differential once, by columns:
 {col: {row: coeff}}.  Its d² check adds whole columns, and homology splits
 each column once into its (h, j) block.  Homology has one kernel for every
-ring: each block is reduced once by unimodular integer row and column
+ring: each block is reduced by unimodular integer row and column
 operations (`smith_diagonal`), and the ranks over Z, Q and F_p and the
-torsion over Z are read off that one diagonal.  The kernel reduces the
-block's transpose, whose rows are the block's columns as given; the
-transpose has the same rank and invariant factors.  It has one pivot step,
-which clears the pivot's column by row operations and then reduces the
-pivot row mod the pivot, and two pivot choices: a sweep over the ±1
-entries first, then entries of least absolute value on what is left.
-`rank_over_field` is an independent dense eliminator kept as the tests'
-reference.
+torsion over Z are read off its diagonal.  The kernel reduces the block's
+transpose, whose rows are the block's columns as given; the transpose has
+the same rank and invariant factors.  It has one pivot step, which clears
+the pivot's column by row operations and then reduces the pivot row mod
+the pivot, and two pivot choices: a sweep over the ±1 entries first, then
+entries of least absolute value on what is left.  The blocks of each j go
+in increasing h, and block (h+1, j) is reduced without the columns that
+the unit sweep of block (h, j) pivoted on ("clearing", after Chen and
+Kerber, *Persistent homology computation with a twist*, 2011): each such
+column becomes a cycle in a unimodular change of basis, since d² = 0,
+which `FreeComplex.check_d2` checks on every complex.  Only unit-sweep
+pivots clear; see `homology`.  `rank_over_field` is an independent dense
+eliminator kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -406,7 +411,7 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
 # integer linear algebra
 
 
-def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
+def smith_diagonal(columns: dict[int, dict[int, int]]) -> tuple[list[int], list[int]]:
     """Diagonal of an integer matrix, given by columns {col: {row: v}} with
     no zero entries, under invertible row/col ops.
 
@@ -425,6 +430,15 @@ def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
     there.  The remainder, including ±1s that fill-in wrote into columns
     already passed, pivots on an entry of least absolute value, and picks
     again while a smaller one is left in the column or the pivot row.
+
+    Returns the diagonal and the row indices (the transpose's columns) that
+    the unit sweep pivoted on, in pivot order.  On the given matrix the
+    sweep's row operations are column operations, and a unit pivot's row is
+    dropped as it stands.  So at the k-th unit pivot (pr, pc), row pr is the
+    image of a unimodular combination of the given columns, with ±1 at pc
+    and 0 at the k - 1 earlier unit pivots, which are cleared.  The
+    remainder's pivots are not returned: reducing a pivot row mod a is a row
+    operation on the given matrix.
     """
     rows = {r: dict(row) for r, row in columns.items() if row}
     cols: dict[int, set[int]] = {}
@@ -469,6 +483,7 @@ def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
                 del cols[c]
 
     diag: list[int] = []
+    units: list[int] = []
     for pc in sorted(cols, key=lambda c: len(cols[c])):
         col = cols.get(pc)
         pr = col and min(
@@ -478,6 +493,7 @@ def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
             clear_column(pr, pc)
             unlink(pr, rows.pop(pr))
             diag.append(1)
+            units.append(pc)
 
     while rows:
         _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
@@ -497,7 +513,7 @@ def smith_diagonal(columns: dict[int, dict[int, int]]) -> list[int]:
             del rows[pr]
             unlink(pr, (pc,))
             diag.append(abs(a))
-    return diag
+    return diag, units
 
 
 def rank_over_field(entries: dict[tuple[int, int], int], p: int | None = None) -> int:
@@ -617,6 +633,19 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
     diagonal D gives the block's rank over Z and Q as len(D), over F_p as
     the number of d in D with p not dividing d, and the torsion over Z in
     degree h + 1 as the entries d > 1.
+
+    Clearing: the blocks of each j go in increasing h, and block (h+1, j)
+    goes to `smith_diagonal` without the columns y_1, ..., y_m that the
+    unit sweep of block (h, j) pivoted on.  The sweep is column operations
+    on d_h, so the k-th unit pivot gives z_k = d_h(x_k), with ±1 at y_k and
+    0 at y_1, ..., y_{k-1}.  Putting z_k in place of e_{y_k} is a triangular
+    change of basis of C^{h+1} with ±1 on its diagonal, so it is unimodular
+    over Z.  d_{h+1}(z_k) = d_{h+1} d_h(x_k) = 0, so in the new basis those
+    columns of d_{h+1} are zero and the others are unchanged: the rank over
+    Z, Q and F_p and the torsion over Z of d_{h+1} are those of the block
+    without them.  The proof needs d² = 0, which `FreeComplex.check_d2`
+    checks when every complex is built.  The remainder's pivots use row
+    operations on d_h and clear nothing.
     """
     p = coefficient_characteristic(coefficients)
     # index[h][j][g]: generator g's index in its (h, j) block; len is the size
@@ -629,9 +658,9 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
 
     # each column of d_h goes to the block of its source bidegree, its rows
     # renumbered by the target's block index for that j, which holds every
-    # row that preserves j and no other
+    # row that preserves j and no other; blocks are made in increasing h
     blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for h, mat in T.mats.items():
+    for h, mat in sorted(T.mats.items()):
         src, tgt = T.basis[h], index.get(h + 1, {})
         for c, col in mat.items():
             j = src[c]
@@ -643,8 +672,13 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
 
     ranks: dict[tuple[int, int], int] = {}
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (h, j), block in blocks.items():
-        diag = smith_diagonal(block)
+    for h, j in list(blocks):
+        diag, units = smith_diagonal(blocks.pop((h, j)))
+        nxt = blocks.get((h + 1, j))
+        if nxt:  # clearing: d_{h+1} loses the columns d_h's unit sweep pivoted on
+            gens = list(index[h + 1][j])
+            for y in units:
+                nxt.pop(gens[y], None)
         ranks[(h, j)] = sum(1 for d in diag if d % p) if p else len(diag)
         if coefficients == "Z":
             torsion[(h + 1, j)] = tuple(

@@ -91,6 +91,17 @@ def test_compare_agrees_over_z_on_a_12_crossing_word(capsys):
     assert any(g["torsion"] for g in rec["oracle_groups"])  # torsion is compared as well
 
 
+@pytest.mark.slow
+def test_compare_agrees_over_z_on_a_14_crossing_word(capsys):
+    # W14, the 12-crossing word above followed by s1 s2^-1: 16384 cube
+    # vertices, whose Smith reduction is cheap only with clearing
+    word = "n=4 1 2 -3 1 2 -3 1 -2 3 -1 2 3 1 -2"
+    rc, out, _ = run(capsys, "compare", "--braid", word, "--coeffs", "Z")
+    rec = json.loads(out)
+    assert rc == 0 and rec["equal"] is True
+    assert any(g["torsion"] for g in rec["oracle_groups"])
+
+
 def test_compare_exit_codes_and_coeffs(capsys, monkeypatch):
     monkeypatch.setenv("KH_COEFFS", "F2")
     rc, out, _ = run(capsys, "compare", "--braid", "1 1", "-n", "2")
@@ -245,6 +256,26 @@ def test_integer_tokens_are_ascii_digits_only(capsys, tmp_path):
     path.write_text("X+(+2,4,3,1)\nX+(4,+6,5,3)\nX+(6,2,1,+5)\n")
     rc, out, _ = run(capsys, "oracle", "--pd", str(path))
     assert rc == 0 and json.loads(out)["groups"] == json.loads(run(capsys, "oracle", "--braid", "n=2 1 1 1")[1])["groups"]
+
+
+def test_integer_flags_are_ascii_digits_only(capsys):
+    # -n and --crossing read the same integer tokens as the braid word
+    for argv in (
+        ("compute", "--braid", "1 1 1", "-n", "\u0662"),
+        ("oracle", "--braid", "1 1 1", "-n", "2_0"),
+        ("compare", "--braid", "1 1 1", "-n", "\u0662"),
+        ("arc-dump", "-n", "1_0"),
+        ("verify", "skein", "--braid", "1 1", "-n", "2", "--crossing", "0_0"),
+        ("verify", "skein", "--braid", "1 1", "-n", "2", "--crossing", "\u0660"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and repr(argv[-1]) in out.err, argv
+    rc, out, _ = run(capsys, "compute", "--braid", "1 1 1", "-n", "+2")
+    assert rc == 0 and json.loads(out)["link"] == "n=2 1 1 1"
+    rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "+2", "--crossing", "+1")
+    assert rc == 0 and [s["crossing"] for s in json.loads(out)["crossings"]] == [1]
 
 
 def test_skein_reads_coefficients(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from khbraid.homalg import homology
 from khbraid.linkinv import BraidWord, _infinity_homology
 from khbraid.oracle import (
     Crossing,
@@ -15,6 +16,7 @@ from khbraid.oracle import (
     format_pd,
     parse_pd,
 )
+from test_homalg import homology_without_clearing
 
 UNKNOT = {(0, 1): (1, ()), (0, -1): (1, ())}
 
@@ -130,24 +132,48 @@ def test_pd_free_loops_tensor_with_v():
     assert cube_homology(parse_pd(format_pd(d))).entries == want
 
 
-def test_random_codes_build_or_refuse():
-    # a random 4-valent code is usually not planar; the cube must then refuse
-    # it with ValueError, and otherwise build a complex whose d^2 check passed
+def _random_codes():
+    """300 seeded random 4-valent codes of 1 to 4 crossings."""
     rng = random.Random(5)
-    built, refused = 0, []
     for _ in range(300):
         k = rng.randint(1, 4)
         ends = [e for e in range(1, 2 * k + 1) for _ in (0, 1)]
         rng.shuffle(ends)
-        d = Diagram(tuple(Crossing(tuple(ends[4 * i : 4 * i + 4]), rng.choice((1, -1)))
-                          for i in range(k)))
+        yield Diagram(tuple(Crossing(tuple(ends[4 * i : 4 * i + 4]), rng.choice((1, -1)))
+                            for i in range(k)))
+
+
+def test_random_codes_build_or_refuse():
+    # a random 4-valent code is usually not planar; the cube must then refuse
+    # it with ValueError, and otherwise build a complex whose d^2 check passed
+    built, refused = 0, []
+    for d in _random_codes():
         try:
             cube_complex(d)
         except ValueError:
-            refused.append(k)
+            refused.append(len(d.crossings))
         else:
             built += 1
     assert built and refused and max(refused) >= 2
+
+
+def test_clearing_agrees_with_whole_block_reduction():
+    # clearing changes which columns the Smith kernel sees, never the answer:
+    # the random codes that build, and seeded random words on 2-4 strands
+    complexes = []
+    for d in _random_codes():
+        try:
+            complexes.append(cube_complex(d))
+        except ValueError:
+            pass
+    rng = random.Random(31)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(4, 7))]
+        complexes.append(cube_complex(braid_to_pd(word(n, letters))))
+    for T in complexes:
+        for c in ("Z", "Q", "F2", "F3"):
+            assert homology(T, c) == homology_without_clearing(T, c), c
 
 
 def test_pd_one_crossing_kinks_are_unknots():
