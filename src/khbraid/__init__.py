@@ -20,7 +20,6 @@ from .planar import (
     mixed,
     horseshoe,
 )
-from .tqft import Label, merge, split, qdeg
 from .arcalg import ArcElement, ArcCombination, multiply, dim_hn, center_action, trace, min_generator, idempotent
 from .homalg import ProjSummand, ModuleMap, Complex, BigradedGroup, cone, idempotent_truncate, homology
 from .tangle import cupcap_functor, unit_map, counit_map, twist
@@ -31,7 +30,6 @@ __all__ = [
     "Matching", "CircleDiagram", "enumerate_matchings", "circles",
     "codim", "cup_insert", "cap_apply", "interpolate",
     "matching", "plait", "mixed", "horseshoe",
-    "Label", "merge", "split", "qdeg",
     "ArcElement", "ArcCombination", "multiply", "dim_hn", "center_action",
     "trace", "min_generator", "idempotent",
     "ProjSummand", "ModuleMap", "Complex", "BigradedGroup", "cone",

@@ -16,9 +16,11 @@ circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
 that; a product of combinations adds up table entries (`_add_products`,
-which `multiply` and the module maps of `khbraid.homalg` call), and so does
-the action of one element on a whole block of basis labelings
-(`basis_images`, which the idempotent truncation reads).  The cache holds at
+which `multiply`, the module maps of `khbraid.homalg` and the scan of all
+basis products `_basis_products` call), and so does the action of one
+element on a whole block of basis labelings (`basis_images`, which the
+idempotent truncation reads).  The scan is the one loop behind arc-dump's
+`multiplication_table` and `verify_positivity`.  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .planar import Matching, circles, enumerate_matchings, interpolate
-from .tqft import Label, mask_merge, mask_split, mask_qdeg, sdeg
+from .tqft import mask_merge, mask_split, mask_qdeg, sdeg
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,6 @@ class ArcElement:
     source: Matching
     target: Matching
     mask: int
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        c = circles(self.source, self.target).c
-        return tuple(Label.X if self.mask >> k & 1 else Label.ONE for k in range(c))
 
     @property
     def qdeg(self) -> int:
@@ -84,14 +81,8 @@ class ArcCombination:
             terms[m] = terms.get(m, 0) + c
         return ArcCombination(self.source, self.target, terms)
 
-    def __sub__(self, other: "ArcCombination") -> "ArcCombination":
-        return self + (-1) * other
-
     def __rmul__(self, k: int) -> "ArcCombination":
         return ArcCombination(self.source, self.target, {m: k * c for m, c in self.terms.items()})
-
-    def __neg__(self) -> "ArcCombination":
-        return (-1) * self
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,21 +101,13 @@ class ArcCombination:
     def __repr__(self) -> str:
         if not self.terms:
             return f"0[{self.source} -> {self.target}]"
-        bits = []
         c = circles(self.source, self.target).c
-        for m in sorted(self.terms):
-            lab = "".join("x" if m >> k & 1 else "1" for k in range(c))
-            bits.append(f"{self.terms[m]:+d}*{lab}")
+        bits = [f"{self.terms[m]:+d}*{_labels(m, c)}" for m in sorted(self.terms)]
         return f"({' '.join(bits)})[{self.source} -> {self.target}]"
 
     def _check_block(self, other: "ArcCombination"):
         if self.source != other.source or self.target != other.target:
             raise ValueError("block mismatch")
-
-    # -- inspection
-
-    def elements(self) -> list[tuple[ArcElement, int]]:
-        return [(ArcElement(self.source, self.target, m), c) for m, c in sorted(self.terms.items())]
 
 
 def min_generator(source: Matching, target: Matching) -> ArcElement:
@@ -369,59 +352,56 @@ def factor_through_interpolation(w0: Matching, wk: Matching) -> ArcCombination:
     return acc
 
 
-def multiplication_table(n: int) -> dict:
-    """Basis sizes per block and all pairwise basis products, JSON-ready."""
+def _basis_products(n: int):
+    """Every product of two basis elements of H_n, as (u, v, w, ma, mb, p):
+    p is mb * ma as a {mask: coeff} dict of the block (u, w), for ma a
+    labeling of (u, v) and mb one of (v, w).  u, v, w run over the
+    matchings and then ma, mb over the masks, each in increasing order.
+    """
     ms = enumerate_matchings(n)
-    names = {w: str(w) for w in ms}
-    blocks = [
-        {"source": names[u], "target": names[v], "dim": 2 ** circles(u, v).c}
-        for u in ms
-        for v in ms
-    ]
-    products = []
     for u in ms:
         for v in ms:
             for w in ms:
-                for x in block_basis(u, v):
-                    for y in block_basis(v, w):
-                        p = multiply(ArcCombination.from_element(y), ArcCombination.from_element(x))
-                        products.append(
-                            {
-                                "left": _el_json(y),
-                                "right": _el_json(x),
-                                "result": [
-                                    {"element": _el_json(el), "coeff": c} for el, c in p.elements()
-                                ],
-                            }
-                        )
+                schedule = _mult_schedule(u, v, w)
+                for ma in range(1 << schedule[0]):
+                    for mb in range(1 << circles(v, w).c):
+                        p: dict[int, int] = {}
+                        _add_products(p, schedule, {ma: 1}, {mb: 1}, 1)
+                        yield u, v, w, ma, mb, p
+
+
+def _labels(mask: int, c: int) -> str:
+    """The labeling of c circles as a string, character k "x" or "1"."""
+    return "".join("x" if mask >> k & 1 else "1" for k in range(c))
+
+
+def _el_json(source: Matching, target: Matching, mask: int) -> dict:
+    labels = _labels(mask, circles(source, target).c)
+    return {"source": str(source), "target": str(target), "labels": labels}
+
+
+def multiplication_table(n: int) -> dict:
+    """Basis sizes per block and all pairwise basis products, JSON-ready."""
+    ms = enumerate_matchings(n)
+    blocks = [{"source": str(u), "target": str(v), "dim": 2 ** circles(u, v).c} for u in ms for v in ms]
+    products = [
+        {
+            "left": _el_json(v, w, mb),
+            "right": _el_json(u, v, ma),
+            "result": [{"element": _el_json(u, w, m), "coeff": p[m]} for m in sorted(p) if p[m]],
+        }
+        for u, v, w, ma, mb, p in _basis_products(n)
+    ]
     return {"n": n, "dim": dim_hn(n), "blocks": blocks, "products": products}
-
-
-def _el_json(el: ArcElement) -> dict:
-    return {
-        "source": str(el.source),
-        "target": str(el.target),
-        "labels": "".join("x" if l is Label.X else "1" for l in el.labels),
-    }
 
 
 def verify_positivity(n: int) -> dict:
     """All structure constants of H_n are >= 0 (exhaustive product scan)."""
-    ms = enumerate_matchings(n)
     scanned = 0
     negatives = []
-    for u in ms:
-        for v in ms:
-            xs = block_basis(u, v)
-            for w in ms:
-                schedule = _mult_schedule(u, v, w)
-                ys = block_basis(v, w)
-                for x in xs:
-                    for y in ys:
-                        p: dict[int, int] = {}
-                        _add_products(p, schedule, {x.mask: 1}, {y.mask: 1}, 1)
-                        scanned += 1
-                        bad = {m: c for m, c in p.items() if c < 0}
-                        if bad:
-                            negatives.append({"left": _el_json(y), "right": _el_json(x), "bad": bad})
+    for u, v, w, ma, mb, p in _basis_products(n):
+        scanned += 1
+        bad = {m: c for m, c in p.items() if c < 0}
+        if bad:
+            negatives.append({"left": _el_json(v, w, mb), "right": _el_json(u, v, ma), "bad": bad})
     return {"n": n, "products_scanned": scanned, "negatives": negatives, "ok": not negatives}

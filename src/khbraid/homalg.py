@@ -46,6 +46,7 @@ eliminator kept as the tests' reference.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -609,15 +610,15 @@ class BigradedGroup:
 
 
 def coefficient_characteristic(coefficients: str) -> int:
-    """0 for "Z" and "Q", p for "Fp" with p a prime below 2^31.
+    """0 for "Z" and "Q", p for "Fp" with p a prime below 2^31, written in
+    ASCII digits with no leading zero.
 
     Raises ValueError for any other string.
     """
     if coefficients in ("Z", "Q"):
         return 0
-    digits = coefficients[1:]
-    if coefficients.startswith("F") and digits.isdecimal() and digits[0] != "0":
-        p = int(digits)
+    if re.fullmatch(r"F[1-9][0-9]*", coefficients):
+        p = int(coefficients[1:])
         if 2 <= p < 1 << 31 and all(p % k for k in range(2, isqrt(p) + 1)):
             return p
     raise ValueError(f"bad coefficients {coefficients!r} (use Z, Q, or Fp for a prime p < 2^31)")

@@ -7,6 +7,8 @@ from khbraid.arcalg import (
     _MULT_SCHEDULE_MAXSIZE,
     ArcCombination,
     ArcElement,
+    _basis_products,
+    _el_json,
     _execute,
     _mult_schedule,
     _surgery_schedule,
@@ -482,10 +484,25 @@ def test_multiplication_table_shape():
     )
 
 
+def test_basis_products_match_multiply():
+    # the one scan behind arc-dump and the positivity check yields every
+    # pair of basis elements once, with the product multiply gives
+    for n in (1, 2, 3):
+        ms = enumerate_matchings(n)
+        seen = 0
+        for u, v, w, ma, mb, p in _basis_products(n):
+            want = multiply(comb(ArcElement(v, w, mb)), comb(ArcElement(u, v, ma)))
+            assert {m: c for m, c in p.items() if c} == want.terms, (u, v, w, ma, mb)
+            seen += 1
+        assert seen == sum(2 ** (circles(u, v).c + circles(v, w).c) for u in ms for v in ms for w in ms)
+
+
 def test_arcelement_labels_roundtrip():
     p2, m2 = plait(2), mixed(2)
     el = ArcElement(p2, p2, 0b10)
-    from khbraid.tqft import Label
-
-    assert el.labels == (Label.ONE, Label.X)
+    # character k of the label string is circle k's label: bit 1 set is x
+    assert _el_json(el.source, el.target, el.mask) == {
+        "source": "(1 2)(3 4)", "target": "(1 2)(3 4)", "labels": "1x"
+    }
     assert el.qdeg == 0 and el.sdeg == 2
+    assert _el_json(p2, m2, 0b1)["labels"] == "x"

@@ -278,6 +278,26 @@ def test_integer_flags_are_ascii_digits_only(capsys):
     assert rc == 0 and [s["crossing"] for s in json.loads(out)["crossings"]] == [1]
 
 
+def test_coefficients_are_ascii_digits_only(capsys, monkeypatch):
+    # str.isdecimal() holds for any Unicode digit: F\u0662 is Arabic-Indic 2
+    # and F\uff13 a fullwidth 3
+    monkeypatch.delenv("KH_COEFFS", raising=False)
+    for coeffs in ("F\u0662", "F\uff13", "F0", "F03", "F+3", "F 3", "F3_"):
+        rc, out, err = run(capsys, "compute", "--braid", "n=2 1 1 1", "--coeffs", coeffs)
+        assert rc == 2 and out == "" and "error:" in err, coeffs
+        monkeypatch.setenv("KH_COEFFS", coeffs)
+        rc, out, err = run(capsys, "compute", "--braid", "n=2 1 1 1")
+        assert rc == 2 and out == "" and "error:" in err, coeffs
+        monkeypatch.delenv("KH_COEFFS")
+    for coeffs in ("F2", "F3"):
+        rc, out, _ = run(capsys, "compute", "--braid", "n=2 1 1 1", "--coeffs", coeffs)
+        assert rc == 0 and json.loads(out)["coefficients"] == coeffs
+        monkeypatch.setenv("KH_COEFFS", coeffs)
+        rc, out, _ = run(capsys, "compute", "--braid", "n=2 1 1 1")
+        assert rc == 0 and json.loads(out)["coefficients"] == coeffs
+        monkeypatch.delenv("KH_COEFFS")
+
+
 def test_skein_reads_coefficients(capsys, monkeypatch):
     monkeypatch.delenv("KH_COEFFS", raising=False)
     rc, out, _ = run(capsys, "verify", "skein", "--braid", "1 1", "-n", "2")

@@ -41,11 +41,23 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
     assert calls.get("homalg.is_chain_map", 0) == 0
 
 
-def test_traced_caches_expose_cache_info():
+def test_traced_caches_expose_cache_info(capsys):
     # the bench worker reports a cache it cannot find as absent rather than
     # failing, so a renamed cache would silently drop its traced metrics
+    caches = []
     for mod, attr in (("planar", "circles"), ("arcalg", "_mult_schedule"),
                       ("tangle", "_saddle_schedule"), ("tangle", "_cup_circle_map")):
         cache = getattr(importlib.import_module(f"khbraid.{mod}"), attr, None)
         assert callable(getattr(cache, "cache_info", None)), (mod, attr)
         assert cache.cache_info().currsize >= 0
+        caches.append((mod, attr, cache))
+    # and it reports a cache's hit ratio only when the pass looked it up, so
+    # the smallest compute must look up each one from cold
+    for _mod, _attr, cache in caches:
+        cache.cache_clear()
+    cli = importlib.import_module("khbraid.cli")
+    assert cli.main(["compute", "--braid", "1 -1", "-n", "2"]) == 0
+    capsys.readouterr()
+    for mod, attr, cache in caches:
+        info = cache.cache_info()
+        assert info.hits + info.misses >= 1, (mod, attr, info)
