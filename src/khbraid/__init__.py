@@ -20,7 +20,7 @@ from .planar import (
     mixed,
     horseshoe,
 )
-from .arcalg import ArcElement, ArcCombination, multiply, dim_hn, center_action, trace, min_generator, idempotent
+from .arcalg import ArcCombination, multiply, dim_hn, center_action, trace, min_generator, idempotent
 from .homalg import ProjSummand, ModuleMap, Complex, BigradedGroup, cone, idempotent_truncate, homology
 from .tangle import cupcap_functor, unit_map, counit_map, twist
 from .linkinv import BraidWord, InvariantResult, compute, verify_markov, verify_skein
@@ -30,7 +30,7 @@ __all__ = [
     "Matching", "CircleDiagram", "enumerate_matchings", "circles",
     "codim", "cup_insert", "cap_apply", "interpolate",
     "matching", "plait", "mixed", "horseshoe",
-    "ArcElement", "ArcCombination", "multiply", "dim_hn", "center_action",
+    "ArcCombination", "multiply", "dim_hn", "center_action",
     "trace", "min_generator", "idempotent",
     "ProjSummand", "ModuleMap", "Complex", "BigradedGroup", "cone",
     "idempotent_truncate", "homology",

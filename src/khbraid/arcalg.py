@@ -16,10 +16,9 @@ circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
 that; a product of combinations adds up table entries (`_add_products`,
-which `multiply`, the module maps of `khbraid.homalg` and the scan of all
-basis products `_basis_products` call), and so does the action of one
-element on a whole block of basis labelings (`basis_images`, which the
-idempotent truncation reads).  The scan is the one loop behind arc-dump's
+which `multiply`, the module maps and the idempotent truncation of
+`khbraid.homalg` and the scan of all basis products `_basis_products`
+call).  The scan is the one loop behind arc-dump's
 `multiplication_table` and `verify_positivity`.  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.
@@ -27,37 +26,19 @@ and each triple's table at most 2^(c(u,v) + c(v,w)) products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .planar import Matching, circles, enumerate_matchings, interpolate
-from .tqft import mask_merge, mask_split, mask_qdeg, sdeg
-
-
-@dataclass(frozen=True)
-class ArcElement:
-    """Basis element: a labeling of circles(source, target).
-
-    ``mask`` has bit k set when circle k (in the canonical order of
-    :func:`khbraid.planar.circles`) is labeled x.
-    """
-
-    source: Matching
-    target: Matching
-    mask: int
-
-    @property
-    def qdeg(self) -> int:
-        return mask_qdeg(self.mask, circles(self.source, self.target).c)
-
-    @property
-    def sdeg(self) -> int:
-        d = circles(self.source, self.target)
-        return sdeg(self.source.n, d.c, self.mask.bit_count())
+from .tqft import mask_merge, mask_split
 
 
 class ArcCombination:
-    """Z-linear combination of basis elements of one block (source, target)."""
+    """Z-linear combination of basis elements of one block (source, target).
+
+    A basis element is a labeling of circles(source, target), held as a
+    mask with bit k set when circle k (in the canonical order of
+    :func:`khbraid.planar.circles`) is labeled x; ``terms`` is {mask: coeff}.
+    """
 
     __slots__ = ("source", "target", "terms")
 
@@ -66,16 +47,11 @@ class ArcCombination:
         self.target = target
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
-    # -- constructors
-
-    @classmethod
-    def from_element(cls, el: ArcElement, coeff: int = 1) -> "ArcCombination":
-        return cls(el.source, el.target, {el.mask: coeff})
-
     # -- ring-module structure
 
     def __add__(self, other: "ArcCombination") -> "ArcCombination":
-        self._check_block(other)
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("block mismatch")
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
@@ -105,19 +81,15 @@ class ArcCombination:
         bits = [f"{self.terms[m]:+d}*{_labels(m, c)}" for m in sorted(self.terms)]
         return f"({' '.join(bits)})[{self.source} -> {self.target}]"
 
-    def _check_block(self, other: "ArcCombination"):
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("block mismatch")
 
-
-def min_generator(source: Matching, target: Matching) -> ArcElement:
+def min_generator(source: Matching, target: Matching) -> ArcCombination:
     """The all-1 labeling, lowest degree element of its block."""
-    return ArcElement(source, target, 0)
+    return ArcCombination(source, target, {0: 1})
 
 
 def idempotent(w: Matching) -> ArcCombination:
     """e_w, the identity of the diagonal block (w, w)."""
-    return ArcCombination.from_element(min_generator(w, w))
+    return min_generator(w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +264,6 @@ def multiply(b: ArcCombination, a: ArcCombination) -> ArcCombination:
     return ArcCombination(a.source, b.target, acc)
 
 
-def basis_images(terms: dict[int, int], u: Matching, v: Matching, w: Matching) -> list[dict[int, int]]:
-    """g*m for every basis labeling m of the block (u, v), indexed by m, for
-    the element g of the block (v, w) with these {mask: coeff} terms.
-
-    Each image is a {mask: coeff} dict of the block (u, w); zero
-    coefficients may be left in it.  One schedule lookup serves the whole
-    block, and every product is read from its basis-product table.
-    """
-    schedule = _mult_schedule(u, v, w)
-    images = []
-    for m in range(1 << schedule[0]):
-        img: dict[int, int] = {}
-        _add_products(img, schedule, {m: 1}, terms, 1)
-        images.append(img)
-    return images
-
-
 # ---------------------------------------------------------------------------
 # center action, trace, dimensions
 
@@ -338,17 +293,12 @@ def dim_hn(n: int) -> int:
     return sum(2 ** circles(u, v).c for u in ms for v in ms)
 
 
-def block_basis(source: Matching, target: Matching) -> list[ArcElement]:
-    c = circles(source, target).c
-    return [ArcElement(source, target, m) for m in range(1 << c)]
-
-
 def factor_through_interpolation(w0: Matching, wk: Matching) -> ArcCombination:
     """Ordered product of minimal generators along interpolate(w0, wk)."""
     seq = interpolate(w0, wk)
     acc = idempotent(w0)
     for a, b in zip(seq, seq[1:]):
-        acc = multiply(ArcCombination.from_element(min_generator(a, b)), acc)
+        acc = multiply(min_generator(a, b), acc)
     return acc
 
 

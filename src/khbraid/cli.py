@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .arcalg import multiplication_table, verify_positivity
 from .homalg import BigradedGroup, coefficient_characteristic
-from .linkinv import BraidWord, compute, verify_markov, verify_skein
+from .linkinv import BraidWord, compute, verify_braid_relations, verify_markov, verify_skein
 from .oracle import braid_to_pd, cube_homology, format_pd, parse_pd
 from .planar import parse_int, parse_matching
-from .tangle import verify_braid_relations
 
 
 class InputError(Exception):
@@ -105,6 +105,8 @@ def cmd_compute(args) -> int:
 def cmd_oracle(args) -> int:
     coeffs = _coeffs(args)
     if args.pd:
+        if args.n is not None:
+            raise InputError("-n goes with --braid, not --pd")
         try:
             if args.pd == "-":
                 text = sys.stdin.read()
@@ -233,7 +235,7 @@ def cmd_verify(args) -> int:
     elif kind == "braid-relations":
         _verify_strands(args.n, "braid-relations")
         report = verify_braid_relations(args.n)
-    elif kind == "positivity":
+    else:
         _verify_strands(args.n, "positivity")
         report = verify_positivity(args.n)
         if args.output and args.output != "-":
@@ -243,39 +245,40 @@ def cmd_verify(args) -> int:
         if args.output == "-":
             emit(report, args.output)
         return 0 if report["ok"] else 1
-    else:  # unreachable through argparse
-        raise InputError(f"unknown verify target {kind}")
     emit(report, args.output)
     return 0 if report["ok"] else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Each command and verify kind takes only the options it reads; --pd
+    and --braid exclude each other.  Built once: parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="khbraid",
         description="Khovanov homology of braid closures, via the arc algebra and via the resolution cube",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, braid=True):
-        if braid:
-            p.add_argument("--braid", help='braid word, e.g. "1 1 1" or "n=2 1 1 1"')
-            p.add_argument("-n", type=parse_int, help="number of strands (alternative to the n= header)")
+    def braid(p, given=None):
+        (given or p).add_argument("--braid", help='braid word, e.g. "1 1 1" or "n=2 1 1 1"')
+        p.add_argument("-n", type=parse_int, help="number of strands (alternative to the n= header)")
         p.add_argument("--coeffs", help="Z (default; Q for verify skein), Q, or Fp such as F2")
         p.add_argument("-o", "--output", help="output path (default stdout)")
 
     p = sub.add_parser("compute", help="arc-algebra pipeline invariant")
-    common(p)
+    braid(p)
     p.add_argument("--table", action="store_true", help="human-readable bigraded grid")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("oracle", help="cube-of-resolutions invariant")
-    common(p)
-    p.add_argument("--pd", help="PD code file ('-' for stdin) instead of a braid")
+    given = p.add_mutually_exclusive_group()
+    braid(p, given)
+    given.add_argument("--pd", help="PD code file ('-' for stdin) instead of a braid")
     p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="run both pipelines; exit 0 iff equal")
-    common(p)
+    braid(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("arc-dump", help="basis sizes and multiplication table of H_n")
@@ -285,11 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="restrict to products into this matching")
     p.set_defaults(func=cmd_arc_dump)
 
-    p = sub.add_parser("verify", help="structural verification suites")
-    p.add_argument("what", choices=["markov", "skein", "braid-relations", "positivity"])
-    common(p)
-    p.add_argument("--crossing", type=parse_int, help="skein: single crossing index (default all)")
-    p.set_defaults(func=cmd_verify)
+    kinds = sub.add_parser("verify", help="structural verification suites").add_subparsers(
+        dest="what", required=True
+    )
+    for kind, what in (
+        ("markov", "groups unchanged by conjugation and stabilization"),
+        ("skein", "the skein triangle at each crossing"),
+        ("braid-relations", "braid relations on every projective of H_n"),
+        ("positivity", "every structure constant of H_n is >= 0"),
+    ):
+        p = kinds.add_parser(kind, help=what)
+        if kind in ("markov", "skein"):
+            braid(p)
+        else:
+            p.add_argument("-n", type=parse_int, help="number of arcs, at most 5")
+            p.add_argument("-o", "--output")
+        if kind == "skein":
+            p.add_argument("--crossing", type=parse_int, help="single crossing index (default all)")
+        p.set_defaults(func=cmd_verify)
     return ap
 
 

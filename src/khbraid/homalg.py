@@ -19,9 +19,9 @@ column adjacency, so a pivot costs only the entries it touches; the
 survivors are renumbered once at the end.
 
 `idempotent_truncate` applies Hom(P_a, -) by table reads: each entry g of
-a differential, P_b -> P_c, looks up its surgery schedule once and reads
+a differential, P_b -> P_c, looks up its surgery schedule once and adds
 g·m, for every basis labeling m of the block (a, b), from that schedule's
-table of basis products (`arcalg.basis_images`), which every product fills.
+table of basis products (`arcalg._add_products`), which every product fills.
 
 A free complex (`FreeComplex`, made by `idempotent_truncate` and by the
 cube in `oracle`) holds each differential once, by columns:
@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .planar import Matching, circles
-from .arcalg import _add_products, _mult_schedule, basis_images
+from .arcalg import _add_products, _mult_schedule
 from .arcalg import multiply  # kept: perfbench/tracer.py patches homalg.multiply
 from .tqft import mask_qdeg
 
@@ -62,9 +62,6 @@ from .tqft import mask_qdeg
 class ProjSummand:
     matching: Matching
     qshift: int
-
-    def shifted(self, q: int) -> "ProjSummand":
-        return ProjSummand(self.matching, self.qshift + q)
 
     def __repr__(self) -> str:
         return f"P[{self.matching}]{{{self.qshift}}}"
@@ -118,23 +115,18 @@ class ModuleMap:
 
 
 class Complex:
-    """Bounded cochain complex of projective summands; d_h goes h -> h+1."""
+    """Bounded cochain complex of projective summands; d_h goes h -> h+1.
+
+    Built unchecked: `validate` is the check, and `cone` runs it."""
 
     __slots__ = ("terms", "diffs")
 
-    def __init__(
-        self,
-        terms: dict[int, tuple[ProjSummand, ...]],
-        diffs: dict[int, ModuleMap],
-        check: bool = True,
-    ):
+    def __init__(self, terms: dict[int, tuple[ProjSummand, ...]], diffs: dict[int, ModuleMap]):
         self.terms = {h: tuple(t) for h, t in terms.items() if t}
         self.diffs = {}
         for h, d in diffs.items():
             if h in self.terms and h + 1 in self.terms and d.entries:
                 self.diffs[h] = d
-        if check:
-            self.validate()
 
     def validate(self):
         """Shapes, every entry in its block with qdeg 0, d^2 = 0; else ValueError."""
@@ -166,17 +158,9 @@ class Complex:
     def size(self) -> int:
         return sum(len(t) for t in self.terms.values())
 
-    def shift_q(self, q: int) -> "Complex":
-        """Raise every quantum shift by q; entries are unchanged."""
-        terms = {h: tuple(s.shifted(q) for s in t) for h, t in self.terms.items()}
-        diffs = {
-            h: ModuleMap(terms[h], terms[h + 1], d.entries) for h, d in self.diffs.items()
-        }
-        return Complex(terms, diffs, check=False)
-
     @classmethod
-    def single(cls, w: Matching, qshift: int = 0, degree: int = 0) -> "Complex":
-        return cls({degree: (ProjSummand(w, qshift),)}, {}, check=False)
+    def single(cls, w: Matching, qshift: int = 0) -> "Complex":
+        return cls({0: (ProjSummand(w, qshift),)}, {})
 
 
 def is_chain_map(f: dict[int, ModuleMap], C: Complex, D: Complex) -> bool:
@@ -223,7 +207,9 @@ def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
         for (r, c), g in D.differential(h).entries.items():
             entries[(len(C.summands(h + 2)) + r, nc + c)] = g
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
-    return Complex(terms, diffs)
+    K = Complex(terms, diffs)
+    K.validate()
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +319,7 @@ def eliminate(C: Complex) -> Complex:
         ri, ci = index[h + 1], index[h]
         entries = {(ri[r], ci[c]): g for r, row in rows_h.items() for c, g in row.items()}
         new_diffs[h] = ModuleMap(new_terms[h], new_terms[h + 1], entries)
-    return Complex(new_terms, new_diffs, check=False)
+    return Complex(new_terms, new_diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +361,9 @@ class FreeComplex:
 
 def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
     """Apply Hom(P_a, -): summand P_b{t} contributes the block (a, b) with
-    quantum degrees qdeg + t; an entry g of a differential acts on that
-    block by the surgery product, read from the basis-product table."""
+    quantum degrees qdeg + t; an entry g of a differential, P_b -> P_c,
+    acts on that block by the surgery product: one schedule lookup per
+    entry, and g·m read from its basis-product table for each labeling m."""
     basis: dict[int, list[int]] = {}
     offsets: dict[int, list[int]] = {}
     for h, summands in C.terms.items():
@@ -396,9 +383,11 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
         src, tgt = C.terms[h], C.terms[h + 1]
         for (r, c), g in d.entries.items():
             row0 = tgt_offs[r]
-            images = basis_images(g, a, src[c].matching, tgt[r].matching)
-            for col, img in enumerate(images, src_offs[c]):
-                column = mat.setdefault(col, {})
+            schedule = _mult_schedule(a, src[c].matching, tgt[r].matching)
+            for m in range(1 << schedule[0]):
+                img: dict[int, int] = {}
+                _add_products(img, schedule, {m: 1}, g, 1)
+                column = mat.setdefault(src_offs[c] + m, {})
                 for mm, coeff in img.items():
                     if coeff:
                         column[row0 + mm] = column.get(row0 + mm, 0) + coeff

@@ -3,8 +3,10 @@
 The pipeline starts from the projective of the horseshoe matching over H_n
 (2n boundary points for an n-strand braid; the braid embeds through its
 first n-1 generator indices), applies one mapping-cone twist per letter
-with Gaussian-elimination reduction in between, truncates by the horseshoe
-idempotent and takes integer homology.
+with Gaussian-elimination reduction in between (`_twisted`), truncates by
+the horseshoe idempotent and takes integer homology (`_closed_homology`).
+The Markov, skein, braid-relation and twist-inverse suites run on the same
+two steps.
 
 Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
 calibrated once on the unknot and trefoil against the cube oracle and
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .planar import horseshoe, parse_int
+from .planar import Matching, enumerate_matchings, horseshoe, parse_int
 from .homalg import BigradedGroup, Complex, eliminate, homology, idempotent_truncate
 from .tangle import cupcap_functor, twist
 
@@ -157,18 +159,27 @@ class InvariantResult:
         }
 
 
-def braid_complex(b: BraidWord) -> Complex:
-    """The twisted projective complex of the word, reduced after every
-    letter, before truncation."""
-    C = Complex.single(horseshoe(b.strands))
-    for idx, sign in b.letters:
-        C = eliminate(twist(idx, sign, C))
+def _twisted(letters, C: Complex) -> Complex:
+    """C after one twist per letter (generator index, sign), reduced after
+    every letter."""
+    for i, s in letters:
+        C = eliminate(twist(i, s, C))
     return C
 
 
+def _closed_homology(a: Matching, C: Complex, coefficients: str) -> BigradedGroup:
+    """Raw homology of Hom(P_a, C)."""
+    return homology(idempotent_truncate(a, C), coefficients)
+
+
+def braid_complex(b: BraidWord) -> Complex:
+    """The twisted projective complex of the word, reduced after every
+    letter, before truncation."""
+    return _twisted(b.letters, Complex.single(horseshoe(b.strands)))
+
+
 def _graded_homology(b: BraidWord, C: Complex, coefficients: str) -> BigradedGroup:
-    T = idempotent_truncate(horseshoe(b.strands), C)
-    raw = homology(T, coefficients)
+    raw = _closed_homology(horseshoe(b.strands), C, coefficients)
     return raw.shifted(b.positives * HOM_OFFSET_PER_POSITIVE,
                        b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
 
@@ -224,6 +235,47 @@ def verify_markov(b: BraidWord, seed: int = 0, coefficients: str = "Z") -> dict:
 
 
 # ---------------------------------------------------------------------------
+# braid relations and twist inverses over the functor layer
+
+
+def _all_truncated_homologies(n: int, P: Complex, letters) -> dict:
+    """Raw homology of Hom(P_a, P twisted by the letters), for every a."""
+    C = _twisted(letters, P)
+    return {a: _closed_homology(a, C, "Z") for a in enumerate_matchings(n)}
+
+
+def verify_braid_relations(n: int) -> dict:
+    """Braid relations and distant commutation on e_a-homology of every P_w."""
+    checks = []
+    for w in enumerate_matchings(n):
+        P = Complex.single(w)
+        same = lambda u, v: _all_truncated_homologies(n, P, u) == _all_truncated_homologies(n, P, v)
+        for s in (1, -1):
+            for i in range(1, 2 * n):
+                if i + 1 < 2 * n:
+                    ok = same([(i, s), (i + 1, s), (i, s)], [(i + 1, s), (i, s), (i + 1, s)])
+                    checks.append({"kind": "braid", "w": str(w), "i": i, "sign": s, "ok": ok})
+                for j in range(i + 2, 2 * n):
+                    ok = same([(i, s), (j, s)], [(j, s), (i, s)])
+                    checks.append({"kind": "commute", "w": str(w), "i": i, "j": j, "sign": s, "ok": ok})
+    return {"n": n, "checks": checks, "ok": all(c["ok"] for c in checks)}
+
+
+def verify_twist_inverse(n: int) -> dict:
+    """twist then inverse twist restores the e_a-homology of every P_w,
+    up to the homological shift of one cancelling letter pair."""
+    checks = []
+    for w in enumerate_matchings(n):
+        P = Complex.single(w)
+        want = {a: H.shifted(-1, 0) for a, H in _all_truncated_homologies(n, P, ()).items()}
+        for i in range(1, 2 * n):
+            for order in ((1, -1), (-1, 1)):
+                ok = _all_truncated_homologies(n, P, [(i, order[0]), (i, order[1])]) == want
+                checks.append({"w": str(w), "i": i, "order": order, "ok": ok})
+    return {"n": n, "checks": checks, "ok": all(c["ok"] for c in checks)}
+
+
+# ---------------------------------------------------------------------------
 # skein triangles
 
 
@@ -275,16 +327,9 @@ def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[Bigrade
     (i, j) grading of the resolved diagram, plus the correction v."""
     idx, sign = b.letters[c]
     v = _complement_arc_v(b, c)
-    C = Complex.single(horseshoe(b.strands))
-    for k, (i, s) in enumerate(b.letters):
-        if k == c:
-            C, _layout = cupcap_functor(i, C)
-            C = C.shift_q(1 if s == 1 else -1)
-        else:
-            C = twist(i, s, C)
-        C = eliminate(C)
-    T = idempotent_truncate(horseshoe(b.strands), C)
-    raw = homology(T, coefficients)
+    C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
+    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(idx, C, sign)[0]))
+    raw = _closed_homology(horseshoe(b.strands), C, coefficients)
     P, N = b.positives, b.negatives
     if sign == 1:
         di = (P - 1) - v

@@ -19,11 +19,12 @@ are one schedule, built by `arcalg._surgery_schedule` and run by
 cupcap_through images and carries the closed-circle labels in two extra
 high bits.
 
-Unit and counit act on a cup-containing summand by the identity into/out of
-the x-labeled summand and by multiplication with the degree-2 center
-element at i into/out of the 1-labeled summand; on other summands by the
+Unit and counit are one map, `_adjunction_map`.  On a cup-containing
+summand it is the identity into the x-labeled summand (unit) or out of the
+1-labeled summand (counit), plus multiplication with the degree-2 center
+element v_i into or out of the other summand; on other summands it is the
 minimal-degree generator of the codimension-one block.  All coefficients
-are +1.
+are +1.  `cupcap_functor` applies their grading shift, {+1} or {-1}.
 
 Entries are {mask: coeff} dicts, whose blocks their summands fix, so the
 identity and the minimal generator are both {0: 1}.  Nothing here checks
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through, enumerate_matchings
+from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through
 from .arcalg import _execute, _surgery_schedule
 from .homalg import Complex, ModuleMap, ProjSummand, cone
 from .homalg import is_chain_map  # kept: perfbench/tracer.py patches tangle.is_chain_map
-from .homalg import eliminate, homology, idempotent_truncate
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,9 @@ def _transformed_components(
     return {key: kept for key, part in comps.items() if (kept := {m: x for m, x in part.items() if x})}
 
 
-def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """The endofunctor cup_i cap_i, with the layout of image summands.
+def cupcap_functor(i: int, C: Complex, q: int) -> tuple[Complex, dict[int, list[list[int]]]]:
+    """The endofunctor with its grading shift, (cup_i cap_i C){q}, and the
+    layout of image summands.
 
     layout[h][k] lists the flat indices of the images of summand k of C^h
     (in label order 1, x when the cap closes a circle).
@@ -139,10 +140,11 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
         images[h] = []
         for s in summands:
             through, closed = cupcap_through(i, s.matching)
+            t = s.qshift + q
             # the closed circle's label 1 shifts up, label x down
-            shifts = ((s.qshift + 1, 0), (s.qshift - 1, 1)) if closed else ((s.qshift, None),)
-            images[h].append({u: len(flat) + k for k, (_q, u) in enumerate(shifts)})
-            flat.extend(ProjSummand(through, q) for q, _u in shifts)
+            shifts = ((t + 1, 0), (t - 1, 1)) if closed else ((t, None),)
+            images[h].append({u: len(flat) + k for k, (_t, u) in enumerate(shifts)})
+            flat.extend(ProjSummand(through, shift) for shift, _u in shifts)
         terms[h] = tuple(flat)
     diffs: dict[int, ModuleMap] = {}
     for h, d in C.diffs.items():
@@ -154,57 +156,47 @@ def cupcap_functor(i: int, C: Complex) -> tuple[Complex, dict[int, list[list[int
                 entries[(tgt[v], src[u])] = gg
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
     layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
-    return Complex(terms, diffs, check=False), layout
+    return Complex(terms, diffs), layout
 
 
 # ---------------------------------------------------------------------------
 # unit and counit
 
 
-def _x_at(i: int, w: Matching) -> dict[int, int]:
-    """x on the circle of C(w,w) through point i, 1 elsewhere (= v_i e_w)."""
-    return {1 << circles(w, w).circle_of(i): 1}
+def _adjunction_map(i: int, sign: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
+    """The unit C -> (cup_i cap_i C){1} for sign +1, the counit
+    (cup_i cap_i C){-1} -> C for sign -1, and that functor image.
+
+    Unchecked: the d^2 check of its cone is the one chain-map check per
+    letter, so a bad map raises ValueError from `cone`.
+    """
+    D, layout = cupcap_functor(i, C, sign)
+    f: dict[int, ModuleMap] = {}
+    for h, summands in C.terms.items():
+        entries: dict[tuple[int, int], dict[int, int]] = {}
+        for k, s in enumerate(summands):
+            one, *x = layout[h][k]  # the 1 and x summands, or the one image
+            if x:  # the identity into x (unit) or out of 1 (counit), v_i on the other
+                ident, vi = (x[0], one) if sign == 1 else (one, x[0])
+                a = s.matching  # v_i e_a is x on the circle of C(a, a) through i
+                pairs = ((ident, {0: 1}), (vi, {1 << circles(a, a).circle_of(i): 1}))
+            else:
+                pairs = ((one, {0: 1}),)  # the minimal generator
+            for pos, g in pairs:
+                entries[(pos, k) if sign == 1 else (k, pos)] = g
+        ends = (C.terms[h], D.terms[h]) if sign == 1 else (D.terms[h], C.terms[h])
+        f[h] = ModuleMap(*ends, entries)
+    return f, D
 
 
 def unit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
-    """The chain map C -> (cup_i cap_i C){1} and its target.  Unchecked: the
-    d^2 check of its cone is the one chain-map check per letter, so a bad
-    unit raises ValueError from `cone`, not AssertionError from here."""
-    D0, layout = cupcap_functor(i, C)
-    D = D0.shift_q(1)
-    f: dict[int, ModuleMap] = {}
-    for h, summands in C.terms.items():
-        entries: dict[tuple[int, int], dict[int, int]] = {}
-        for k, s in enumerate(summands):
-            a = s.matching
-            positions = layout[h][k]
-            if (i, i + 1) in a.pairs:
-                entries[(positions[1], k)] = {0: 1}  # e_a into the x summand
-                entries[(positions[0], k)] = _x_at(i, a)  # v_i into the 1 summand
-            else:
-                entries[(positions[0], k)] = {0: 1}  # the minimal generator
-        f[h] = ModuleMap(C.terms[h], D.terms[h], entries)
-    return f, D
+    """The chain map C -> (cup_i cap_i C){1} and its target."""
+    return _adjunction_map(i, 1, C)
 
 
 def counit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
-    """The chain map (cup_i cap_i C){-1} -> C and its source.  Unchecked: the
-    d^2 check of its cone is the one chain-map check per letter, so a bad
-    counit raises ValueError from `cone`, not AssertionError from here."""
-    D0, layout = cupcap_functor(i, C)
-    D = D0.shift_q(-1)
-    f: dict[int, ModuleMap] = {}
-    for h, summands in C.terms.items():
-        entries: dict[tuple[int, int], dict[int, int]] = {}
-        for k, s in enumerate(summands):
-            a = s.matching
-            positions = layout[h][k]
-            # e_a from the 1 summand, or the minimal generator
-            entries[(k, positions[0])] = {0: 1}
-            if (i, i + 1) in a.pairs:
-                entries[(k, positions[1])] = _x_at(i, a)  # v_i from the x summand
-        f[h] = ModuleMap(D.terms[h], C.terms[h], entries)
-    return f, D
+    """The chain map (cup_i cap_i C){-1} -> C and its source."""
+    return _adjunction_map(i, -1, C)
 
 
 # ---------------------------------------------------------------------------
@@ -230,64 +222,3 @@ def twist(i: int, sign: int, C: Complex) -> Complex:
         f, D = counit_map(i, C)
         return cone(f, D, C)
     raise ValueError("sign must be +1 or -1")
-
-
-# ---------------------------------------------------------------------------
-# verification suites over the functor layer
-
-
-def _all_truncated_homologies(n: int, C: Complex) -> dict:
-    out = {}
-    for a in enumerate_matchings(n):
-        out[a] = homology(idempotent_truncate(a, eliminate(C)), "Z")
-    return out
-
-
-def _twist_word(word, C: Complex) -> Complex:
-    for i, s in word:
-        C = eliminate(twist(i, s, C))
-    return C
-
-
-def verify_braid_relations(n: int) -> dict:
-    """Braid relations and distant commutation on e_a-homology of every P_w."""
-    checks = []
-    positions = range(1, 2 * n)
-    for w in enumerate_matchings(n):
-        P = Complex.single(w)
-        for s in (1, -1):
-            for i in positions:
-                if i + 1 in positions:
-                    lhs = _twist_word([(i, s), (i + 1, s), (i, s)], P)
-                    rhs = _twist_word([(i + 1, s), (i, s), (i + 1, s)], P)
-                    ok = _all_truncated_homologies(n, lhs) == _all_truncated_homologies(n, rhs)
-                    checks.append({"kind": "braid", "w": str(w), "i": i, "sign": s, "ok": ok})
-                for j in positions:
-                    if j >= i + 2:
-                        lhs = _twist_word([(i, s), (j, s)], P)
-                        rhs = _twist_word([(j, s), (i, s)], P)
-                        ok = (
-                            _all_truncated_homologies(n, lhs)
-                            == _all_truncated_homologies(n, rhs)
-                        )
-                        checks.append(
-                            {"kind": "commute", "w": str(w), "i": i, "j": j, "sign": s, "ok": ok}
-                        )
-    return {"n": n, "checks": checks, "ok": all(c["ok"] for c in checks)}
-
-
-def verify_twist_inverse(n: int) -> dict:
-    """twist then inverse twist restores the e_a-homology of every P_w,
-    up to the homological shift of one cancelling letter pair."""
-    checks = []
-    for w in enumerate_matchings(n):
-        P = Complex.single(w)
-        base = _all_truncated_homologies(n, P)
-        for i in range(1, 2 * n):
-            for order in ((1, -1), (-1, 1)):
-                C = _twist_word([(i, order[0]), (i, order[1])], P)
-                got = _all_truncated_homologies(n, C)
-                want = {a: H.shifted(-1, 0) for a, H in base.items()}
-                ok = got == want
-                checks.append({"w": str(w), "i": i, "order": order, "ok": ok})
-    return {"n": n, "checks": checks, "ok": all(c["ok"] for c in checks)}

@@ -12,8 +12,6 @@ import time
 import pytest
 
 from khbraid.arcalg import (
-    ArcCombination,
-    block_basis,
     center_action,
     factor_through_interpolation,
     idempotent,
@@ -22,7 +20,14 @@ from khbraid.arcalg import (
     trace,
     verify_positivity,
 )
-from khbraid.linkinv import BraidWord, compute, verify_markov, verify_skein
+from khbraid.linkinv import (
+    BraidWord,
+    compute,
+    verify_braid_relations,
+    verify_markov,
+    verify_skein,
+    verify_twist_inverse,
+)
 from khbraid.oracle import braid_to_pd, cube_homology
 from khbraid.planar import (
     cap_apply,
@@ -33,8 +38,8 @@ from khbraid.planar import (
     mixed,
     plait,
 )
-from khbraid.tangle import verify_braid_relations, verify_twist_inverse
 from khbraid.tqft import mask_qdeg
+from test_arcalg import block_basis
 from test_tangle import cup_entry
 
 
@@ -45,10 +50,6 @@ def _report(capsys, line: str):
 
 def _status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
-
-
-def comb(el):
-    return ArcCombination.from_element(el)
 
 
 def _random_words(count=10, max_len=6, max_strands=3, seed=20260810):
@@ -131,27 +132,26 @@ def test_criterion_3_arc_algebra_suite(capsys):
         ms = enumerate_matchings(n)
         # two-sided unit
         for u, v in itertools.product(ms, ms):
-            for el in block_basis(u, v):
-                a = comb(el)
+            for a in block_basis(u, v):
                 if multiply(idempotent(v), a) != a or multiply(a, idempotent(u)) != a:
                     problems.append(("unit", n))
         # trace symmetry
         for u, v in itertools.product(ms, ms):
             for x in block_basis(u, v):
                 for y in block_basis(v, u):
-                    if trace(multiply(comb(y), comb(x))) != trace(multiply(comb(x), comb(y))):
+                    if trace(multiply(y, x)) != trace(multiply(x, y)):
                         problems.append(("trace", n))
         # positivity
         if not verify_positivity(n)["ok"]:
             problems.append(("positivity", n))
         # factorization along interpolations
         for u, v in itertools.product(ms, ms):
-            if factor_through_interpolation(u, v) != comb(min_generator(u, v)):
+            if factor_through_interpolation(u, v) != min_generator(u, v):
                 problems.append(("factorization", n))
         # cyclicity under the center action
         for u, v in itertools.product(ms, ms):
             diag = circles(u, v)
-            reached, frontier = {0}, [comb(min_generator(u, v))]
+            reached, frontier = {0}, [min_generator(u, v)]
             while frontier:
                 a = frontier.pop()
                 for k in range(diag.c):
@@ -169,17 +169,16 @@ def test_criterion_3_arc_algebra_suite(capsys):
             for x in block_basis(u, v):
                 for y in block_basis(v, w):
                     for t in block_basis(w, z):
-                        cx, cy, ct = comb(x), comb(y), comb(t)
-                        if multiply(ct, multiply(cy, cx)) != multiply(multiply(ct, cy), cx):
+                        if multiply(t, multiply(y, x)) != multiply(multiply(t, y), x):
                             problems.append(("associativity", n))
     rng = random.Random(1)
     for n in (3, 4):
         ms = enumerate_matchings(n)
         for _ in range(10_000):
             u, v, w, z = (rng.choice(ms) for _ in range(4))
-            x = comb(rng.choice(block_basis(u, v)))
-            y = comb(rng.choice(block_basis(v, w)))
-            t = comb(rng.choice(block_basis(w, z)))
+            x = rng.choice(block_basis(u, v))
+            y = rng.choice(block_basis(v, w))
+            t = rng.choice(block_basis(w, z))
             if multiply(t, multiply(y, x)) != multiply(multiply(t, y), x):
                 problems.append(("associativity", n))
                 break
@@ -192,8 +191,8 @@ def test_criterion_3_arc_algebra_suite(capsys):
                 continue
             touched = sorted({p for arc in set(w.pairs) ^ set(w2.pairs) for p in arc})
             for w3 in ms:
-                lhs = multiply(comb(min_generator(w2, w3)), comb(min_generator(w, w2)))
-                alpha = comb(min_generator(w, w3))
+                lhs = multiply(min_generator(w2, w3), min_generator(w, w2))
+                alpha = min_generator(w, w3)
                 if circles(w, w3).c == circles(w2, w3).c - 1:
                     if lhs != alpha:
                         problems.append(("codim1-constant", n))
@@ -213,7 +212,7 @@ def test_criterion_3_arc_algebra_suite(capsys):
         ms = enumerate_matchings(n)
         for mid in (plait(n), mixed(n)):
             for w, w2 in itertools.product(ms, ms):
-                if not multiply(comb(min_generator(mid, w2)), comb(min_generator(w, mid))):
+                if not multiply(min_generator(mid, w2), min_generator(w, mid)):
                     problems.append(("plait-mix-nonzero", n))
 
     elapsed = time.time() - t0
@@ -238,8 +237,8 @@ def test_criterion_4_functor_suite(capsys):
         for i in (1, 2, 3):
             for x in block_basis(u, v):
                 for y in block_basis(v, w):
-                    lhs = cup_entry(i, multiply(comb(y), comb(x)))
-                    rhs = multiply(cup_entry(i, comb(y)), cup_entry(i, comb(x)))
+                    lhs = cup_entry(i, multiply(y, x))
+                    rhs = multiply(cup_entry(i, y), cup_entry(i, x))
                     if lhs != rhs:
                         problems.append(("cup-strict", 2, i))
     rng = random.Random(8)
@@ -247,8 +246,8 @@ def test_criterion_4_functor_suite(capsys):
     for _ in range(2000):
         u, v, w = (rng.choice(ms2) for _ in range(3))
         i = rng.randint(1, 5)
-        x = comb(rng.choice(block_basis(u, v)))
-        y = comb(rng.choice(block_basis(v, w)))
+        x = rng.choice(block_basis(u, v))
+        y = rng.choice(block_basis(v, w))
         if cup_entry(i, multiply(y, x)) != multiply(cup_entry(i, y), cup_entry(i, x)):
             problems.append(("cup-strict", 3, i))
     for n in (1, 2):

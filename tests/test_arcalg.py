@@ -6,13 +6,11 @@ import pytest
 from khbraid.arcalg import (
     _MULT_SCHEDULE_MAXSIZE,
     ArcCombination,
-    ArcElement,
     _basis_products,
     _el_json,
     _execute,
     _mult_schedule,
     _surgery_schedule,
-    block_basis,
     center_action,
     dim_hn,
     factor_through_interpolation,
@@ -24,14 +22,12 @@ from khbraid.arcalg import (
     verify_positivity,
 )
 from khbraid.planar import circles, codim, enumerate_matchings, matching, mixed, plait
+from khbraid.tqft import mask_qdeg, sdeg
 
 
-def comb(el, coeff=1):
-    return ArcCombination.from_element(el, coeff)
-
-
-def all_basis_combinations(u, v):
-    return [comb(el) for el in block_basis(u, v)]
+def block_basis(u, v):
+    """The basis of the block (u, v): every labeling mask, coefficient 1."""
+    return [ArcCombination(u, v, {m: 1}) for m in range(1 << circles(u, v).c)]
 
 
 def brute_dim(n):
@@ -55,8 +51,8 @@ def test_idempotents():
 
 def test_n2_products_from_the_frobenius_tables():
     p2, m2 = plait(2), mixed(2)
-    a_pm = comb(min_generator(p2, m2))
-    a_mp = comb(min_generator(m2, p2))
+    a_pm = min_generator(p2, m2)
+    a_mp = min_generator(m2, p2)
     prod = multiply(a_mp, a_pm)  # lands in (plait, plait)
     x_on = lambda i: center_action(i, idempotent(p2))
     assert prod == x_on(1) + x_on(3)  # 1(x)x + x(x)1 on the two circles
@@ -67,8 +63,8 @@ def test_n2_products_from_the_frobenius_tables():
 
 def test_mismatched_middles_multiply_to_zero():
     p2, m2 = plait(2), mixed(2)
-    a = comb(min_generator(p2, p2))
-    b = comb(min_generator(m2, m2))
+    a = min_generator(p2, p2)
+    b = min_generator(m2, m2)
     assert not multiply(b, a)
 
 
@@ -76,8 +72,7 @@ def test_unit_is_two_sided():
     for n in (1, 2, 3):
         ms = enumerate_matchings(n)
         for u, v in itertools.product(ms, ms):
-            for el in block_basis(u, v):
-                a = comb(el)
+            for a in block_basis(u, v):
                 assert multiply(idempotent(v), a) == a
                 assert multiply(a, idempotent(u)) == a
 
@@ -86,9 +81,9 @@ def test_associativity_exhaustive_small():
     for n in (1, 2):
         ms = enumerate_matchings(n)
         for u, v, w, z in itertools.product(ms, repeat=4):
-            for x in all_basis_combinations(u, v):
-                for y in all_basis_combinations(v, w):
-                    for t in all_basis_combinations(w, z):
+            for x in block_basis(u, v):
+                for y in block_basis(v, w):
+                    for t in block_basis(w, z):
                         assert multiply(t, multiply(y, x)) == multiply(multiply(t, y), x)
 
 
@@ -97,9 +92,9 @@ def test_associativity_n3_randomized():
     ms = enumerate_matchings(3)
     for _ in range(500):
         u, v, w, z = (rng.choice(ms) for _ in range(4))
-        x = comb(rng.choice(block_basis(u, v)))
-        y = comb(rng.choice(block_basis(v, w)))
-        t = comb(rng.choice(block_basis(w, z)))
+        x = rng.choice(block_basis(u, v))
+        y = rng.choice(block_basis(v, w))
+        t = rng.choice(block_basis(w, z))
         assert multiply(t, multiply(y, x)) == multiply(multiply(t, y), x)
 
 
@@ -241,8 +236,8 @@ def test_surgery_order_independence():
         rng = random.Random(n)
         for _ in range(200):
             u, v, w = (rng.choice(ms) for _ in range(3))
-            x = comb(rng.choice(block_basis(u, v)))
-            y = comb(rng.choice(block_basis(v, w)))
+            x = rng.choice(block_basis(u, v))
+            y = rng.choice(block_basis(v, w))
             base = multiply(y, x)
             order = list(v.pairs)
             assert product_in_order(y, x, order) == base
@@ -265,8 +260,8 @@ def test_table_products_match_the_schedule_on_every_basis_pair():
         for n in (1, 2, 3):
             ms = enumerate_matchings(n)
             for u, v, w in itertools.product(ms, repeat=3):
-                for x in all_basis_combinations(u, v):
-                    for y in all_basis_combinations(v, w):
+                for x in block_basis(u, v):
+                    for y in block_basis(v, w):
                         assert multiply(y, x) == reference_product(y, x), (warm, u, v, w)
         info = _mult_schedule.cache_info()
         assert info.currsize == sum(len(enumerate_matchings(n)) ** 3 for n in (1, 2, 3))
@@ -277,18 +272,18 @@ def test_table_products_match_the_schedule_on_every_basis_pair():
 
 
 def random_combination(rng, u, v, terms=3):
-    basis = block_basis(u, v)
-    picks = rng.sample(basis, min(terms, len(basis)))
-    return ArcCombination(u, v, {el.mask: rng.choice((-3, -2, -1, 1, 2, 5)) for el in picks})
+    masks = range(1 << circles(u, v).c)
+    picks = rng.sample(masks, min(terms, len(masks)))
+    return ArcCombination(u, v, {m: rng.choice((-3, -2, -1, 1, 2, 5)) for m in picks})
 
 
 def cancelling_pair(rng, ms):
     """(y, x1 - x2) with y*x1 == y*x2 != 0, so the product cancels to zero."""
     while True:
         u, v, w = (rng.choice(ms) for _ in range(3))
-        y = comb(min_generator(v, w))
+        y = min_generator(v, w)
         seen = {}
-        for x in all_basis_combinations(u, v):
+        for x in block_basis(u, v):
             p = reference_product(y, x)
             if p and p in seen:
                 x1 = seen[p].terms
@@ -338,7 +333,7 @@ def test_center_action_examples():
     assert not center_action(1, v1e)  # x.x = 0
     # v_i and v_j act identically when i, j lie on the same circle
     m2 = mixed(2)
-    a = comb(min_generator(p2, m2))  # single circle through all points
+    a = min_generator(p2, m2)  # single circle through all points
     for i, j in itertools.combinations(range(1, 5), 2):
         assert center_action(i, a) == center_action(j, a)
 
@@ -347,8 +342,7 @@ def test_center_action_is_multiplication_by_the_central_element():
     for n in (1, 2, 3):
         ms = enumerate_matchings(n)
         for u, v in itertools.product(ms, ms):
-            for el in block_basis(u, v):
-                a = comb(el)
+            for a in block_basis(u, v):
                 for i in range(1, 2 * n + 1):
                     left = multiply(center_action(i, idempotent(v)), a)
                     right = multiply(a, center_action(i, idempotent(u)))
@@ -360,15 +354,14 @@ def test_centrality_commutes_with_multiplication():
         ms = enumerate_matchings(n)
         rng = random.Random(n)
         pool = [
-            (u, v, el)
+            (u, v, a)
             for u, v in itertools.product(ms, ms)
-            for el in block_basis(u, v)
+            for a in block_basis(u, v)
         ]
         for _ in range(300):
-            u, v, el = rng.choice(pool)
+            u, v, a = rng.choice(pool)
             w = rng.choice(ms)
-            el2 = rng.choice(block_basis(v, w))
-            a, b = comb(el), comb(el2)
+            b = rng.choice(block_basis(v, w))
             for i in range(1, 2 * n + 1):
                 assert center_action(i, multiply(b, a)) == multiply(center_action(i, b), a)
                 assert center_action(i, multiply(b, a)) == multiply(b, center_action(i, a))
@@ -382,23 +375,26 @@ def test_trace_examples_and_symmetry():
         for w in enumerate_matchings(n):
             assert trace(idempotent(w)) == 0
     with pytest.raises(ValueError):
-        trace(comb(min_generator(plait(2), mixed(2))))
+        trace(min_generator(plait(2), mixed(2)))
     # tr(ab) = tr(ba), exhaustive n <= 3
     for n in (1, 2, 3):
         ms = enumerate_matchings(n)
         for u, v in itertools.product(ms, ms):
-            for x in block_basis(u, v):
-                for y in block_basis(v, u):
-                    a, b = comb(x), comb(y)
+            for a in block_basis(u, v):
+                for b in block_basis(v, u):
                     assert trace(multiply(b, a)) == trace(multiply(a, b))
 
 
 def test_min_generator_degrees():
     p3, m3 = plait(3), mixed(3)
-    assert min_generator(plait(2), plait(2)).sdeg == 0
-    el = min_generator(plait(2), mixed(2))
-    assert el.sdeg == 1
-    assert min_generator(p3, m3).sdeg == 2  # c(plait3, mix3) = 1
+
+    def degree(u, v):
+        (mask,) = min_generator(u, v).terms
+        return sdeg(u.n, circles(u, v).c, mask.bit_count())
+
+    assert degree(plait(2), plait(2)) == 0
+    assert degree(plait(2), mixed(2)) == 1
+    assert degree(p3, m3) == 2  # c(plait3, mix3) = 1
 
 
 def test_positivity_exhaustive():
@@ -420,9 +416,9 @@ def _check_codim_one_laws(n):
         moved = set(w.pairs) ^ set(w2.pairs)
         touched = sorted({p for arc in moved for p in arc})
         for w3 in ms:
-            lhs = multiply(comb(min_generator(w2, w3)), comb(min_generator(w, w2)))
+            lhs = multiply(min_generator(w2, w3), min_generator(w, w2))
             c_w, c_w2 = circles(w, w3).c, circles(w2, w3).c
-            alpha = comb(min_generator(w, w3))
+            alpha = min_generator(w, w3)
             if c_w == c_w2 - 1:
                 assert lhs == alpha, (w, w2, w3)
             else:
@@ -439,7 +435,7 @@ def test_factorization_through_interpolation():
     for n in (2, 3):
         ms = enumerate_matchings(n)
         for u, v in itertools.product(ms, ms):
-            assert factor_through_interpolation(u, v) == comb(min_generator(u, v))
+            assert factor_through_interpolation(u, v) == min_generator(u, v)
 
 
 def test_cyclicity_under_center_action():
@@ -450,7 +446,7 @@ def test_cyclicity_under_center_action():
         for u, v in itertools.product(ms, ms):
             diag = circles(u, v)
             reached = {0}
-            frontier = [comb(min_generator(u, v))]
+            frontier = [min_generator(u, v)]
             while frontier:
                 a = frontier.pop()
                 for k in range(diag.c):
@@ -468,7 +464,7 @@ def test_plait_mix_mediated_products_nonzero():
         for mid in (plait(n), mixed(n)):
             for w, w2 in itertools.product(ms, ms):
                 prod = multiply(
-                    comb(min_generator(mid, w2)), comb(min_generator(w, mid))
+                    min_generator(mid, w2), min_generator(w, mid)
                 )
                 assert prod, (mid, w, w2)
 
@@ -491,7 +487,7 @@ def test_basis_products_match_multiply():
         ms = enumerate_matchings(n)
         seen = 0
         for u, v, w, ma, mb, p in _basis_products(n):
-            want = multiply(comb(ArcElement(v, w, mb)), comb(ArcElement(u, v, ma)))
+            want = multiply(ArcCombination(v, w, {mb: 1}), ArcCombination(u, v, {ma: 1}))
             assert {m: c for m, c in p.items() if c} == want.terms, (u, v, w, ma, mb)
             seen += 1
         assert seen == sum(2 ** (circles(u, v).c + circles(v, w).c) for u in ms for v in ms for w in ms)
@@ -499,10 +495,9 @@ def test_basis_products_match_multiply():
 
 def test_arcelement_labels_roundtrip():
     p2, m2 = plait(2), mixed(2)
-    el = ArcElement(p2, p2, 0b10)
     # character k of the label string is circle k's label: bit 1 set is x
-    assert _el_json(el.source, el.target, el.mask) == {
+    assert _el_json(p2, p2, 0b10) == {
         "source": "(1 2)(3 4)", "target": "(1 2)(3 4)", "labels": "1x"
     }
-    assert el.qdeg == 0 and el.sdeg == 2
+    assert mask_qdeg(0b10, 2) == 0 and sdeg(2, 2, 1) == 2
     assert _el_json(p2, m2, 0b1)["labels"] == "x"

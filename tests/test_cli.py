@@ -6,7 +6,10 @@ from khbraid.cli import build_parser, emit, groups_table, main
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:  # argparse refuses an option or a combination
+        rc = e.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -174,6 +177,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert rc == 2
     rc, _out, err = run(capsys, "arc-dump", "-n", "9")
     assert rc == 2
+    # a readable PD code, so that only the option combination is refused
+    (tmp_path / "any.pd").write_text("X+(2,4,3,1)\nX+(4,6,5,3)\nX+(6,2,1,5)\n")
     # F_p needs p prime; the input contract holds for verify as well
     for argv in (
         *(("compute", "--braid", "1", "-n", "2", "--coeffs", c) for c in ("F4", "F9", "F1", "F00")),
@@ -197,6 +202,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("compare", "--braid", "n=17 1"),
         ("verify", "markov", "--braid", "n=17 1"),
         ("verify", "skein", "--braid", "n=17 1"),
+        # an option the command or verify kind would ignore
+        ("oracle", "--pd", str(tmp_path / "any.pd"), "--braid", "1 1"),
+        ("oracle", "--pd", str(tmp_path / "any.pd"), "-n", "2"),
+        ("verify", "positivity", "-n", "2", "--coeffs", "F2", "--braid", "1 1"),
+        ("verify", "braid-relations", "-n", "1", "--coeffs", "Q"),
+        ("verify", "markov", "--braid", "n=2 1", "--crossing", "3"),
+        ("verify", "braid-relations", "-n", "1", "--crossing", "0"),
         # a strand count that contradicts itself
         ("compute", "--braid", "n=2 1", "-n", "3"),
         ("compute", "--braid", "n=2 n=3 1 2"),
@@ -206,6 +218,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err and out == "", argv
+    assert run(capsys, "oracle", "--pd", str(tmp_path / "any.pd"))[0] == 0
     # a PD code whose crossing neither merges nor splits circles is not planar;
     # in the kinks the sign contradicts the orientation of the edge labels
     for name, code in (("nonplanar", "X+(1,2,1,2)"), ("kink+", "X+(1,2,2,1)"), ("kink-", "X-(1,1,2,2)")):

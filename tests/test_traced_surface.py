@@ -39,6 +39,16 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
     # the unit and counit no longer run is_chain_map
     assert calls["homalg.cone"] == 2
     assert calls.get("homalg.is_chain_map", 0) == 0
+    # every traced layer is reached through the name the tracer patches: a
+    # letter loop or closure that bypasses linkinv's twist, eliminate,
+    # idempotent_truncate or homology, or a twist that bypasses tangle's
+    # functor, unit, counit or cone, reads a count of 0 here
+    for name in ("tangle.twist", "homalg.cone", "homalg.Complex.validate", "homalg.eliminate",
+                 "tangle.cupcap_functor"):
+        assert calls.get(name, 0) == 2, name
+    assert calls.get("tangle.unit_map", 0) + calls.get("tangle.counit_map", 0) == 2
+    for name in ("linkinv.braid_complex", "homalg.idempotent_truncate", "homalg.homology"):
+        assert calls.get(name, 0) == 1, name
 
 
 def test_traced_caches_expose_cache_info(capsys):
