@@ -21,9 +21,9 @@ from .planar import (
     horseshoe,
 )
 from .arcalg import ArcCombination, multiply, dim_hn, center_action, trace, min_generator, idempotent
-from .homalg import ProjSummand, ModuleMap, Complex, BigradedGroup, cone, idempotent_truncate, homology
+from .homalg import ProjSummand, ModuleMap, Complex, BigradedGroup, cone, homology
 from .tangle import cupcap_functor, unit_map, counit_map, twist
-from .linkinv import BraidWord, InvariantResult, compute, verify_markov, verify_skein
+from .linkinv import BraidWord, InvariantResult, compute, idempotent_truncate, verify_markov, verify_skein
 from .oracle import Diagram, braid_to_pd, parse_pd, cube_homology
 
 __all__ = [

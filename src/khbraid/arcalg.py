@@ -16,9 +16,8 @@ circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
 that; a product of combinations adds up table entries (`_add_products`,
-which `multiply`, the module maps and the idempotent truncation of
-`khbraid.homalg` and the scan of all basis products `_basis_products`
-call).  The scan is the one loop behind arc-dump's
+which `multiply`, the module maps of `khbraid.homalg` and the scan of all
+basis products `_basis_products` call).  The scan is the one loop behind arc-dump's
 `multiplication_table` and `verify_positivity`.  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.

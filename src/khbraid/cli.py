@@ -26,8 +26,8 @@ class InputError(Exception):
 
 
 # The braid commands refuse more strands than this.  On 16 strands the word
-# "1 -2 1" takes about 8 s to compute and 5 s through the oracle (2-core
-# Xeon), and each two strands more cost four to six times as much.
+# "1 -2 1" takes about 0.2 s to compute and 3 s through the oracle (2-core
+# Xeon, fresh process); the oracle's cost grows with every unknot added.
 MAX_STRANDS = 16
 
 

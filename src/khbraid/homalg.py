@@ -18,13 +18,9 @@ keep stable ids while it runs and each differential is held as row and
 column adjacency, so a pivot costs only the entries it touches; the
 survivors are renumbered once at the end.
 
-`idempotent_truncate` applies Hom(P_a, -) by table reads: each entry g of
-a differential, P_b -> P_c, looks up its surgery schedule once and adds
-g·m, for every basis labeling m of the block (a, b), from that schedule's
-table of basis products (`arcalg._add_products`), which every product fills.
-
-A free complex (`FreeComplex`, made by `idempotent_truncate` and by the
-cube in `oracle`) holds each differential once, by columns:
+A free complex (`FreeComplex`, read off a complex over H_0 by
+`free_complex`, and made by the cube in `oracle`) holds each differential
+once, by columns:
 {col: {row: coeff}}.  Its d² check adds whole columns, and homology splits
 each column once into its (h, j) block.  Homology has one kernel for every
 ring: each block is reduced by unimodular integer row and column
@@ -323,7 +319,7 @@ def eliminate(C: Complex) -> Complex:
 
 
 # ---------------------------------------------------------------------------
-# idempotent truncation
+# free complexes
 
 
 class FreeComplex:
@@ -359,42 +355,15 @@ class FreeComplex:
                     raise ValueError(f"d^2 != 0 in free complex at degree {h}")
 
 
-def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
-    """Apply Hom(P_a, -): summand P_b{t} contributes the block (a, b) with
-    quantum degrees qdeg + t; an entry g of a differential, P_b -> P_c,
-    acts on that block by the surgery product: one schedule lookup per
-    entry, and g·m read from its basis-product table for each labeling m."""
-    basis: dict[int, list[int]] = {}
-    offsets: dict[int, list[int]] = {}
-    for h, summands in C.terms.items():
-        degs: list[int] = []
-        offs: list[int] = []
-        for s in summands:
-            offs.append(len(degs))
-            c = circles(a, s.matching).c
-            for m in range(1 << c):
-                degs.append(mask_qdeg(m, c) + s.qshift)
-        basis[h] = degs
-        offsets[h] = offs
+def free_complex(C: Complex) -> FreeComplex:
+    """C over H_0, where P_{}{t} is one generator of degree t and an entry
+    {0: k} is the integer k."""
     mats: dict[int, dict[int, dict[int, int]]] = {}
     for h, d in C.diffs.items():
-        mat: dict[int, dict[int, int]] = {}
-        src_offs, tgt_offs = offsets[h], offsets[h + 1]
-        src, tgt = C.terms[h], C.terms[h + 1]
+        mat = mats[h] = {}
         for (r, c), g in d.entries.items():
-            row0 = tgt_offs[r]
-            schedule = _mult_schedule(a, src[c].matching, tgt[r].matching)
-            for m in range(1 << schedule[0]):
-                img: dict[int, int] = {}
-                _add_products(img, schedule, {m: 1}, g, 1)
-                column = mat.setdefault(src_offs[c] + m, {})
-                for mm, coeff in img.items():
-                    if coeff:
-                        column[row0 + mm] = column.get(row0 + mm, 0) + coeff
-        mats[h] = {
-            c: kept for c, col in mat.items() if (kept := {r: v for r, v in col.items() if v})
-        }
-    return FreeComplex(basis, mats)
+            mat.setdefault(c, {})[r] = g[0]
+    return FreeComplex({h: [s.qshift for s in t] for h, t in C.terms.items()}, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +542,13 @@ class BigradedGroup:
 
     def total_rank(self) -> int:
         return sum(r for r, _t in self.entries.values())
+
+    def __add__(self, other: "BigradedGroup") -> "BigradedGroup":
+        """The direct sum."""
+        out = dict(self.entries)
+        for k, (r, t) in other.entries.items():
+            out[k] = (self.rank(*k) + r, tuple(sorted(self.torsion(*k) + t)))
+        return BigradedGroup(out)
 
     def shifted(self, di: int, dj: int) -> "BigradedGroup":
         return BigradedGroup({(i + di, j + dj): v for (i, j), v in self.entries.items()})

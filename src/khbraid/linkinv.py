@@ -3,10 +3,13 @@
 The pipeline starts from the projective of the horseshoe matching over H_n
 (2n boundary points for an n-strand braid; the braid embeds through its
 first n-1 generator indices), applies one mapping-cone twist per letter
-with Gaussian-elimination reduction in between (`_twisted`), truncates by
-the horseshoe idempotent and takes integer homology (`_closed_homology`).
+with Gaussian-elimination reduction in between (`_twisted`), closes by the
+horseshoe idempotent and takes integer homology (`_closed_homology`).  The
+closure caps down to H_0 by the cup/cap adjunction (`idempotent_truncate`).
+`compute` closes as it goes (Bar-Natan's scanning): cap_m runs right after
+the last sigma_{m-1}, on the conjugate of the word that scans cheapest.
 The Markov, skein, braid-relation and twist-inverse suites run on the same
-two steps.
+two steps, unscanned.
 
 Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
 calibrated once on the unknot and trefoil against the cube oracle and
@@ -24,10 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import comb
+from operator import sub
 
-from .planar import Matching, enumerate_matchings, horseshoe, parse_int
-from .homalg import BigradedGroup, Complex, eliminate, homology, idempotent_truncate
-from .tangle import cupcap_functor, twist
+from .planar import Matching, cap_apply, cupcap_through, enumerate_matchings, horseshoe, parse_int
+from .homalg import BigradedGroup, Complex, FreeComplex, eliminate, free_complex, homology
+from .tangle import cap_functor, cupcap_functor, twist
 
 # frozen calibration: raw cone degrees -> Khovanov bigrading
 HOM_OFFSET_PER_POSITIVE = 1
@@ -159,12 +165,26 @@ class InvariantResult:
         }
 
 
-def _twisted(letters, C: Complex) -> Complex:
+def _twisted(letters, C: Complex, caps=None) -> Complex:
     """C after one twist per letter (generator index, sign), reduced after
-    every letter."""
-    for i, s in letters:
+    every letter and after each cap in caps[t], run after letter t."""
+    for t, (i, s) in enumerate(letters):
         C = eliminate(twist(i, s, C))
+        for m in caps[t] if caps else ():
+            C = eliminate(cap_functor(m, C))
     return C
+
+
+def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
+    """Hom(P_a, C) as a free complex.  An arc (p, p+1) of a makes it
+    cup_p(a'), and Hom(P_a, C) = Hom(P_a', cap_p C); so C is capped down to
+    H_0, reduced between caps, and read off (`homalg.free_complex`)."""
+    while a.n:
+        p = next(p for p, q in a.pairs if q == p + 1)
+        a, C = cap_apply(p, a)[0], cap_functor(p, C)
+        if a.n:
+            C = eliminate(C)
+    return free_complex(C)
 
 
 def _closed_homology(a: Matching, C: Complex, coefficients: str) -> BigradedGroup:
@@ -172,14 +192,83 @@ def _closed_homology(a: Matching, C: Complex, coefficients: str) -> BigradedGrou
     return homology(idempotent_truncate(a, C), coefficients)
 
 
-def braid_complex(b: BraidWord) -> Complex:
+def _cap_plan(strands: int, letters) -> list[list[int]]:
+    """caps[t]: the caps that run right after letter t.  cap_m commutes with
+    the twists at i <= m - 2, so it runs once no later letter is sigma_{m-1}
+    and cap_{m+1} has run; the last letter leaves H_1."""
+    last = {i: t for t, (i, _s) in enumerate(letters)}
+    caps, m = [], strands
+    for t in range(len(letters)):
+        caps.append([])
+        while m > 1 and last.get(m - 1, -1) <= t:
+            caps[t].append(m)
+            m -= 1
+    return caps
+
+
+def _scan_norm(strands: int, letters, caps, bound) -> int | None:
+    """The sum over letters of the L1 norm of the scanned complex's class
+    {(matching, power of q): coefficient} in K_0, or None once it reaches
+    bound.  A letter maps X to s(q^s E_i X - X), where E_i is cupcap_through
+    with a factor q + 1/q for a closed circle; so does a cap, as cap_apply."""
+    state = {(horseshoe(strands), 0): 1}
+    total = 0
+    for (i, s), due in zip(letters, caps):
+        nxt: dict[tuple[Matching, int], int] = {}
+        for (a, e), v in state.items():
+            nxt[(a, e)] = nxt.get((a, e), 0) - s * v
+            b, closed = cupcap_through(i, a)
+            for d in (s + 1, s - 1) if closed else (s,):
+                nxt[(b, e + d)] = nxt.get((b, e + d), 0) + s * v
+        for m in due:
+            state, nxt = nxt, {}
+            for (a, e), v in state.items():
+                b, closed = cap_apply(m, a)
+                for d in (1, -1) if closed else (0,):
+                    nxt[(b, e + d)] = nxt.get((b, e + d), 0) + v
+        state = {key: v for key, v in nxt.items() if v}
+        total += sum(map(abs, state.values()))
+        if total >= bound:
+            return None
+    return total
+
+
+def _cheapest_conjugate(b: BraidWord) -> BraidWord:
+    """b on the k strands its letters touch, as the conjugate that scans
+    cheapest: of the L rotations of the word, each with and without
+    sigma_i -> sigma_{k-i}, the 6 with the least sum over letters of the
+    Catalan number of the level then open, and of those the one with the
+    least `_scan_norm`."""
+    lo = min((i for i, _s in b.letters), default=1)
+    k = max((i for i, _s in b.letters), default=0) - lo + 2
+    word = [(i - lo + 1, s) for i, s in b.letters]
+    ranked = []
+    for w in (word, [(k - i, s) for i, s in word]):
+        for r in range(len(w) or 1):
+            v = w[r:] + w[:r]
+            caps = _cap_plan(k, v)
+            levels = accumulate((len(due) for due in caps[:-1]), sub, initial=k)
+            ranked.append((sum(comb(2 * m, m) // (m + 1) for m in levels), len(ranked), v, caps))
+    best, choice = float("inf"), None
+    for _cost, _n, v, caps in sorted(ranked)[:6]:
+        norm = _scan_norm(k, v, caps, best)
+        if norm is not None:
+            best, choice = norm, v
+    return BraidWord(k, tuple(choice))
+
+
+def braid_complex(b: BraidWord, scan: bool = False) -> Complex:
     """The twisted projective complex of the word, reduced after every
-    letter, before truncation."""
-    return _twisted(b.letters, Complex.single(horseshoe(b.strands)))
+    letter, in H_n; with scan, capped down to H_1 by `_cap_plan`."""
+    caps = _cap_plan(b.strands, b.letters) if scan else None
+    return _twisted(b.letters, Complex.single(horseshoe(b.strands)), caps)
 
 
 def _graded_homology(b: BraidWord, C: Complex, coefficients: str) -> BigradedGroup:
-    raw = _closed_homology(horseshoe(b.strands), C, coefficients)
+    """Khovanov homology of the closure of b from its complex C, in H_n or
+    scanned down to H_1, closed along that level's horseshoe."""
+    level = next(iter(C.terms.values()))[0].matching.n
+    raw = _closed_homology(horseshoe(level), C, coefficients)
     return raw.shifted(b.positives * HOM_OFFSET_PER_POSITIVE,
                        b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
 
@@ -187,9 +276,13 @@ def _graded_homology(b: BraidWord, C: Complex, coefficients: str) -> BigradedGro
 def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     """Khovanov homology of the closure of b, exact over Z by default.
 
-    coefficients: "Z", "Q", or "Fp" (e.g. "F2").
+    coefficients: "Z", "Q", or "Fp" (e.g. "F2").  Scans the cheapest
+    conjugate; it has b's letter signs, so the offsets hold.
     """
-    bigraded = _graded_homology(b, braid_complex(b), coefficients)
+    c = _cheapest_conjugate(b)
+    bigraded = _graded_homology(c, braid_complex(c, scan=True), coefficients)
+    for _ in range(b.strands - c.strands):  # Kh(L + unknot) = Kh(L) (x) V
+        bigraded = bigraded.shifted(0, 1) + bigraded.shifted(0, -1)
     shifts = {
         "homological": b.positives,
         "quantum": b.writhe,

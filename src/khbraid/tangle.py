@@ -1,4 +1,5 @@
-"""The cup∘cap endofunctor and twists on complexes of projectives.
+"""The cap functor, the cup∘cap endofunctor and twists on complexes of
+projectives.
 
 The twist attached to a braid letter is a mapping cone on the unit or
 counit of the cup/cap adjunction:
@@ -12,12 +13,14 @@ P_a{-1} when it does (the closed circle becomes a V factor, labels 1, x).
 Morphisms transform by a single saddle surgery at (i, i+1) on their circle
 diagrams; closed-circle labels on the source side select the summand by the
 Frobenius pairing (label x feeds the 1-summand and vice versa), on the
-target side directly.  The result is re-embedded by the cup at (i, i+1),
-a strict algebra embedding with the new circle labeled 1.  Saddle and cup
-are one schedule, built by `arcalg._surgery_schedule` and run by
-`arcalg._execute` like a product's: it lands in the block of the
-cupcap_through images and carries the closed-circle labels in two extra
-high bits.
+target side directly.  That saddle alone is the cap functor
+cap_i: H_n -> H_{n-1} (`cap_functor`), which closes braids.  The cup at
+(i, i+1) re-embeds its result: a strict algebra embedding with the new
+circle labeled 1.  One schedule per block, built by
+`arcalg._surgery_schedule` and run by `arcalg._execute` like a product's,
+serves both: it reads off in the block of the cap_apply images or, through
+the cup's remap, of the cupcap_through images, and carries the
+closed-circle labels in two extra high bits.
 
 Unit and counit are one map, `_adjunction_map`.  On a cup-containing
 summand it is the identity into the x-labeled summand (unit) or out of the
@@ -64,14 +67,14 @@ def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _saddle_schedule(a: Matching, b: Matching, i: int):
-    """The (i, i+1) saddle on C(a, b) as (ops, finals) for `_execute`.
+    """The (i, i+1) saddle on C(a, b) as (ops, down, up) for `_execute`.
 
-    Running it on the labelings of C(a, b) lands in C(a', b'), where a', b'
-    are the cupcap_through images: finals[k] for k < c = c(a', b') is the
-    slot of circle k there, and the new (i, i+1) circle reads a slot that
-    no op writes, so it stays labeled 1.  finals[c] and finals[c + 1] carry
-    the labels of the circles closed off on the a and b side (an unwritten
-    slot, so 0, when that side closes none).
+    Running ops on the labelings of C(a, b) and reading off by down lands
+    in C(cap_apply images of a, b): down[k] is the slot of circle k there.
+    up is down under the cup's remap, for the cupcap_through images; their
+    new (i, i+1) circle reads a slot that no op writes, so it stays labeled
+    1.  The last two finals carry the labels of the circles closed off on
+    the a and b side (an unwritten slot, so 0, when that side closes none).
 
     Cached: at most (2n-1)*C_n^2 entries for each n reached.
     """
@@ -86,24 +89,23 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
     blank = ops[0][-1] + 1  # one past the last slot the saddle writes
     a_down, _ = cap_apply(i, a)
     b_down, _ = cap_apply(i, b)
-    remap = _cup_circle_map(i, a_down, b_down)
-    finals = [blank] * (len(remap) + 3)
     unshifted = lambda p: p if p < i else p + 2
-    for circ, k in zip(circles(a_down, b_down).circles, remap):
-        finals[k] = slot_of[B(unshifted(circ[0]))]
-    if (i, i + 1) in a.pairs:
-        finals[-2] = slot_of[B(i)]
-    if (i, i + 1) in b.pairs:
-        finals[-1] = slot_of[T(i)]
-    return ops, tuple(finals)
+    down = [slot_of[B(unshifted(circ[0]))] for circ in circles(a_down, b_down).circles]
+    down.append(slot_of[B(i)] if (i, i + 1) in a.pairs else blank)
+    down.append(slot_of[T(i)] if (i, i + 1) in b.pairs else blank)
+    up = [blank] * (len(down) + 1)
+    for k, kk in enumerate(_cup_circle_map(i, a_down, b_down)):
+        up[kk] = down[k]
+    up[-2:] = down[-2:]
+    return ops, tuple(down), tuple(up)
 
 
 # ---------------------------------------------------------------------------
-# the cup_i cap_i endofunctor
+# the cap functor and the cup_i cap_i endofunctor
 
 
 def _transformed_components(
-    i: int, a: Matching, b: Matching, terms: dict[int, int]
+    i: int, a: Matching, b: Matching, terms: dict[int, int], cup: bool = True
 ) -> dict[tuple[int | None, int | None], dict[int, int]]:
     """Saddle transform of the element of block (a, b) with these terms,
     split into (source label, target label) parts.
@@ -113,9 +115,11 @@ def _transformed_components(
     the target label keys directly, and a side that closes no circle keys
     None.  Each part is the {mask: coeff} dict, with no zero coefficient,
     of a nonzero element of the block of the cupcap_through images of a and
-    b, with the new (i,i+1) circle labeled 1.
+    b, with the new (i,i+1) circle labeled 1, or with cup False of the
+    block of their cap_apply images.
     """
-    ops, finals = _saddle_schedule(a, b, i)
+    ops, down, up = _saddle_schedule(a, b, i)
+    finals = up if cup else down
     c = len(finals) - 2
     closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
@@ -126,25 +130,22 @@ def _transformed_components(
     return {key: kept for key, part in comps.items() if (kept := {m: x for m, x in part.items() if x})}
 
 
-def cupcap_functor(i: int, C: Complex, q: int) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """The endofunctor with its grading shift, (cup_i cap_i C){q}, and the
-    layout of image summands.
-
-    layout[h][k] lists the flat indices of the images of summand k of C^h
-    (in label order 1, x when the cap closes a circle).
-    """
+def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> tuple[Complex, dict[int, list[list[int]]]]:
+    """(cup_i cap_i C){q}, or (cap_i C){q} when cup is False, and the layout
+    of image summands: layout[h][k] lists the flat indices of the images of
+    summand k of C^h (in label order 1, x when the cap closes a circle)."""
     terms: dict[int, tuple[ProjSummand, ...]] = {}
     images: dict[int, list[dict[int | None, int]]] = {}  # label -> flat index
     for h, summands in C.terms.items():
         flat: list[ProjSummand] = []
         images[h] = []
         for s in summands:
-            through, closed = cupcap_through(i, s.matching)
+            image, closed = cupcap_through(i, s.matching) if cup else cap_apply(i, s.matching)
             t = s.qshift + q
             # the closed circle's label 1 shifts up, label x down
             shifts = ((t + 1, 0), (t - 1, 1)) if closed else ((t, None),)
             images[h].append({u: len(flat) + k for k, (_t, u) in enumerate(shifts)})
-            flat.extend(ProjSummand(through, shift) for shift, _u in shifts)
+            flat.extend(ProjSummand(image, shift) for shift, _u in shifts)
         terms[h] = tuple(flat)
     diffs: dict[int, ModuleMap] = {}
     for h, d in C.diffs.items():
@@ -152,11 +153,21 @@ def cupcap_functor(i: int, C: Complex, q: int) -> tuple[Complex, dict[int, list[
         for (r, c), g in d.entries.items():
             src, tgt = images[h][c], images[h + 1][r]
             a, b = C.terms[h][c].matching, C.terms[h + 1][r].matching
-            for (u, v), gg in _transformed_components(i, a, b, g).items():
+            for (u, v), gg in _transformed_components(i, a, b, g, cup).items():
                 entries[(tgt[v], src[u])] = gg
         diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
     layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
     return Complex(terms, diffs), layout
+
+
+def cupcap_functor(i: int, C: Complex, q: int) -> tuple[Complex, dict[int, list[list[int]]]]:
+    """(cup_i cap_i C){q} and its layout (`_saddle_functor`)."""
+    return _saddle_functor(i, C, q, True)
+
+
+def cap_functor(i: int, C: Complex) -> Complex:
+    """cap_i C, from H_n to H_{n-1}: Hom(P_{cup_i a}, C) = Hom(P_a, cap_i C)."""
+    return _saddle_functor(i, C, 0, False)[0]
 
 
 # ---------------------------------------------------------------------------

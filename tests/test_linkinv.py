@@ -1,5 +1,7 @@
 import json
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -231,8 +233,152 @@ def test_result_json_schema():
 @pytest.mark.slow
 def test_seven_strand_word_through_an_evicting_schedule_cache():
     # the U7 unknot word followed by s1^2 closes to the right trefoil; on 7
-    # strands its run asks for more schedule triples than the cache holds
-    _mult_schedule.cache_clear()
+    # strands its run as given, unscanned, asks for more schedule triples
+    # than the cache holds (`compute` scans a conjugate, which asks for a few
+    # thousand only)
     b = BraidWord.parse("n=7 1 2 3 4 5 6 -1 -2 -3 -4 -5 -6 1 1")
     assert compute(b, "Z").bigraded.entries == RIGHT_TREFOIL
+    _mult_schedule.cache_clear()
+    assert _graded_homology(b, braid_complex(b), "Z").entries == RIGHT_TREFOIL
     assert _mult_schedule.cache_info().misses > _MULT_SCHEDULE_MAXSIZE
+
+
+# ---------------------------------------------------------------------------
+# scanning, conjugates and referees that scale
+
+
+def conjugates(b):
+    """The 2L conjugates that `compute` chooses from: each cyclic rotation,
+    with and without sigma_i -> sigma_{n-i}."""
+    for word in (b.letters, tuple((b.strands - i, s) for i, s in b.letters)):
+        for r in range(len(word) or 1):
+            yield BraidWord(b.strands, word[r:] + word[:r])
+
+
+def test_every_conjugate_scans_to_the_same_groups():
+    # each conjugate caps at other levels and in another order than the word
+    # as given, which runs unscanned in H_n
+    rng = random.Random(19)
+    for n in (3, 4, 5, 6) * 2:
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 9))]
+        b = BraidWord.from_ints(n, word)
+        want = _graded_homology(b, braid_complex(b), "Z")
+        assert compute(b).bigraded == want
+        for v in conjugates(b):
+            assert _graded_homology(v, braid_complex(v, scan=True), "Z") == want, (word, v)
+
+
+def times_v(H, copies):
+    """H tensor V^copies: every group moves to j + copies - 2x, C(copies, x)
+    times."""
+    out = {}
+    for (i, j), (r, t) in H.entries.items():
+        for x in range(copies + 1):
+            r0, t0 = out.get((i, j + copies - 2 * x), (0, ()))
+            out[(i, j + copies - 2 * x)] = (r0 + comb(copies, x) * r, t0 + t * comb(copies, x))
+    return BigradedGroup(out)
+
+
+def test_wide_braids():
+    # U12 and U16 close to the unknot, and a word on the first three of k
+    # strands closes to its three-strand link plus k - 3 unknots
+    unknot = BigradedGroup(UNKNOT)
+    assert times_v(unknot, 1).entries == {(0, 2): (1, ()), (0, 0): (2, ()), (0, -2): (1, ())}
+    for k in (12, 16):
+        assert groups((k, list(range(1, k)))).entries == UNKNOT
+    small = groups((3, [1, -2, 1]))
+    for k in (6, 16):
+        assert groups((k, [1, -2, 1])) == times_v(small, k - 3)
+    assert groups((5, [])) == times_v(unknot, 4)
+
+
+def _tl_jones(b):
+    """The Jones polynomial of b's closure, as {power of q: coefficient},
+    from the Temperley-Lieb class of the horseshoe, with matchings as
+    frozensets of pairs.
+
+    A letter at i with sign s maps X to s(q^s E_i X - X); E_i a is
+    (q + 1/q) a when a holds (i, i+1), else a with the arcs through i and
+    i+1 joined and (i, i+1) added.  A matching a with polynomial p pairs
+    with the horseshoe to p (q + 1/q)^c, c the circles of the two.  The
+    frozen offsets, written out here, then give Khovanov's bigrading: i is
+    h plus the positive letters and j is the raw degree plus the writhe."""
+    n = b.strands
+
+    def partner(a, p):
+        return next(y if x == p else x for x, y in a if p in (x, y))
+
+    def cupcap(i, a):
+        if (i, i + 1) in a:
+            return a, True
+        p, q = partner(a, i), partner(a, i + 1)
+        rest = [arc for arc in a if i not in arc and i + 1 not in arc]
+        return frozenset(rest + [tuple(sorted((p, q))), (i, i + 1)]), False
+
+    hs = frozenset((k, 2 * n + 1 - k) for k in range(1, n + 1))
+    state = {hs: {0: 1}}
+    for i, s in b.letters:
+        out = {}
+        for a, poly in state.items():
+            acc = out.setdefault(a, {})
+            for e, v in poly.items():
+                acc[e] = acc.get(e, 0) - s * v
+            a2, closed = cupcap(i, a)
+            acc = out.setdefault(a2, {})
+            for d in (s + 1, s - 1) if closed else (s,):
+                for e, v in poly.items():
+                    acc[e + d] = acc.get(e + d, 0) + s * v
+        state = out
+    chi = {}
+    for a, poly in state.items():
+        seen, c = set(), 0
+        for start in range(1, 2 * n + 1):
+            if start not in seen:
+                c += 1
+                p, use_a = start, True
+                while p not in seen:
+                    seen.add(p)
+                    p, use_a = partner(a if use_a else hs, p), not use_a
+        for e, v in poly.items():
+            for x in range(c + 1):  # (q + 1/q)^c
+                chi[e + c - 2 * x] = chi.get(e + c - 2 * x, 0) + comb(c, x) * v
+    sign = (-1) ** b.positives
+    return {e + b.writhe: sign * v for e, v in chi.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _long_words():
+    """Seeded words of 14-18 letters on 3-8 strands, two per strand count,
+    with their groups over Z, F2 and F3."""
+    rng = random.Random(2026)
+    words = []
+    for n in (3, 4, 5, 6, 7, 8) * 2:
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(14, 18))]
+        b = BraidWord.from_ints(n, word)
+        words.append((b, {c: compute(b, c).bigraded for c in ("Z", "F2", "F3")}))
+    return words
+
+
+def test_euler_characteristic_is_the_jones_polynomial():
+    for b, H in _long_words():
+        chi = {}
+        for (i, j), (r, _t) in H["Z"].entries.items():
+            chi[j] = chi.get(j, 0) + (-1) ** i * r
+        assert {j: v for j, v in chi.items() if v} == _tl_jones(b), b.format()
+
+
+def test_universal_coefficients():
+    # cochain complexes of free groups: H^i(C; F_p) = H^i(C) (x) F_p (+)
+    # Tor(H^{i+1}(C), F_p), and `homology` puts the torsion of d_h's
+    # cokernel in degree h + 1; so the F_p rank at (i, j) counts the
+    # p-power torsion at (i, j) and at (i + 1, j)
+    torsion = 0
+    for b, H in _long_words():
+        for p in (2, 3):
+            Fp = H[f"F{p}"]
+            keys = set(Fp.entries) | {(i - d, j) for i, j in H["Z"].entries for d in (0, 1)}
+            for i, j in keys:
+                tors = sum(1 for q in H["Z"].torsion(i, j) + H["Z"].torsion(i + 1, j) if q % p == 0)
+                assert Fp.rank(i, j) == H["Z"].rank(i, j) + tors, (b.format(), p, i, j)
+                torsion += tors
+    assert torsion

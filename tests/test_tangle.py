@@ -11,7 +11,6 @@ from khbraid.homalg import (
     ProjSummand,
     eliminate,
     homology,
-    idempotent_truncate,
     is_chain_map,
 )
 from khbraid.planar import (
@@ -31,7 +30,7 @@ from khbraid.tangle import (
     twist,
     unit_map,
 )
-from khbraid.linkinv import verify_braid_relations, verify_twist_inverse
+from khbraid.linkinv import idempotent_truncate, verify_braid_relations, verify_twist_inverse
 from khbraid.tqft import mask_qdeg
 from test_arcalg import block_basis
 from test_homalg import entry
