@@ -231,10 +231,13 @@ def _execute(state: dict[int, int], ops, finals) -> dict[int, int]:
 
 
 def _add_products(
-    acc: dict[int, int], schedule, a_terms: dict[int, int], b_terms: dict[int, int], k: int
+    acc: dict[int, int], schedule, a_terms: dict[int, int], b_terms: dict[int, int], k: int,
+    offset: int = 0,
 ) -> None:
     """Add k * (b*a) into acc, for a in (u, v) and b in (v, w) given by
     their {mask: coeff} terms and ``schedule`` = _mult_schedule(u, v, w).
+    A product mask m adds under the key offset | m: offset is 0, or in
+    `khbraid.homalg.ModuleMap.compose` an entry's index above bit 32.
 
     The one reader of a schedule's basis-product table: a product missing
     from it is computed by running the schedule on that pair, and stored.
@@ -249,6 +252,7 @@ def _add_products(
                 prod = table[key] = tuple(_execute({key: 1}, ops, finals).items())
             scale = k * ca * cbf
             for m, p in prod:
+                m |= offset
                 acc[m] = get(m, 0) + scale * p
 
 

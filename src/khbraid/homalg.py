@@ -85,29 +85,30 @@ class ModuleMap:
         self.entries = {rc: terms for rc, terms in (entries or {}).items() if terms}
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (matrix product via the surgery product)."""
+        """self after other (matrix product via the surgery product).
+
+        Every product adds into one dict under (r * len(source) + c) << 32
+        | mask, for the entry (r, c) and a mask of its block, which has one
+        bit per circle: at most n, and `cli.MAX_STRANDS` = 16 <= 32.  Only
+        nonzero sums are unpacked into entries.
+        """
         if other.target != self.source:
             raise ValueError("compose: mismatched middles")
         src, mid, tgt = other.source, self.source, self.target
-        acc: dict[tuple[int, int], dict[int, int]] = {}
-        by_col: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        for (k, c), g in other.entries.items():
-            by_col.setdefault(c, []).append((k, g))
+        ns = len(src)
         by_row: dict[int, list[tuple[int, dict[int, int]]]] = {}
         for (r, k), f in self.entries.items():
             by_row.setdefault(k, []).append((r, f))
-        for c, lows in by_col.items():
-            u = src[c].matching
-            for k, g in lows:
-                v = mid[k].matching
-                for r, f in by_row.get(k, ()):
-                    terms = acc.get((r, c))
-                    if terms is None:
-                        terms = acc[(r, c)] = {}
-                    _add_products(terms, _mult_schedule(u, v, tgt[r].matching), g, f, 1)
-        return ModuleMap(src, tgt, {
-            rc: {m: x for m, x in terms.items() if x} for rc, terms in acc.items()
-        })
+        acc: dict[int, int] = {}
+        for (k, c), g in other.entries.items():
+            u, v = src[c].matching, mid[k].matching
+            for r, f in by_row.get(k, ()):
+                _add_products(acc, _mult_schedule(u, v, tgt[r].matching), g, f, 1, (r * ns + c) << 32)
+        entries: dict[tuple[int, int], dict[int, int]] = {}
+        for key, x in acc.items():
+            if x:
+                entries.setdefault(divmod(key >> 32, ns), {})[key & 0xFFFFFFFF] = x
+        return ModuleMap(src, tgt, entries)
 
 
 class Complex:

@@ -20,7 +20,8 @@ circle labeled 1.  One schedule per block, built by
 `arcalg._surgery_schedule` and run by `arcalg._execute` like a product's,
 serves both: it reads off in the block of the cap_apply images or, through
 the cup's remap, of the cupcap_through images, and carries the
-closed-circle labels in two extra high bits.
+closed-circle labels in two extra high bits; like a product's, it keeps a
+table of the images of basis labelings.
 
 Unit and counit are one map, `_adjunction_map`.  On a cup-containing
 summand it is the identity into the x-labeled summand (unit) or out of the
@@ -67,16 +68,21 @@ def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _saddle_schedule(a: Matching, b: Matching, i: int):
-    """The (i, i+1) saddle on C(a, b) as (ops, down, up) for `_execute`.
+    """The (i, i+1) saddle on C(a, b) as (ops, down, up, table).
 
-    Running ops on the labelings of C(a, b) and reading off by down lands
-    in C(cap_apply images of a, b): down[k] is the slot of circle k there.
-    up is down under the cup's remap, for the cupcap_through images; their
-    new (i, i+1) circle reads a slot that no op writes, so it stays labeled
-    1.  The last two finals carry the labels of the circles closed off on
-    the a and b side (an unwritten slot, so 0, when that side closes none).
+    Running ops on the labelings of C(a, b) by `_execute` and reading off
+    by down lands in C(cap_apply images of a, b): down[k] is the slot of
+    circle k there.  up is down under the cup's remap, for the
+    cupcap_through images; their new (i, i+1) circle reads a slot that no
+    op writes, so it stays labeled 1.  The last two finals carry the labels
+    of the circles closed off on the a and b side (an unwritten slot, so 0,
+    when that side closes none).  table starts empty and is filled by
+    `_transformed_components`, under mask << 1 | cup for read-off up or down.
 
-    Cached: at most (2n-1)*C_n^2 entries for each n reached.
+    Cached and unbounded, but each schedule and table entry is made by one
+    functor entry: at most (2n-1)*C_n^2 schedules for each n reached, each
+    with at most 2^(c(a,b)+1) table entries of at most two parts (a saddle
+    merges two circles or splits one).  `cache_clear()` empties the tables.
     """
     # nodes 0..2n-1 are the points of a, 2n..4n-1 those of b; C(a, b) joins
     # each point to its copy, and the saddle cuts points i, i+1 apart
@@ -97,7 +103,7 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
     for k, kk in enumerate(_cup_circle_map(i, a_down, b_down)):
         up[kk] = down[k]
     up[-2:] = down[-2:]
-    return ops, tuple(down), tuple(up)
+    return ops, tuple(down), tuple(up), {}
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +122,23 @@ def _transformed_components(
     None.  Each part is the {mask: coeff} dict, with no zero coefficient,
     of a nonzero element of the block of the cupcap_through images of a and
     b, with the new (i,i+1) circle labeled 1, or with cup False of the
-    block of their cap_apply images.
+    block of their cap_apply images.  By linearity it sums the table parts
+    of the terms' labelings; a labeling missing there is run once and split.
     """
-    ops, down, up = _saddle_schedule(a, b, i)
+    ops, down, up, table = _saddle_schedule(a, b, i)
     finals = up if cup else down
     c = len(finals) - 2
     closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
-    for m, coeff in _execute(dict(terms), ops, finals).items():
-        u = 1 - (m >> c & 1) if closes_a else None
-        v = m >> (c + 1) & 1 if closes_b else None
-        comps.setdefault((u, v), {})[m & ((1 << c) - 1)] = coeff
+    for mask, coeff in terms.items():
+        parts = table.get(mask << 1 | cup)
+        if parts is None:
+            parts = table[mask << 1 | cup] = tuple(
+                ((1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None),
+                 m & ((1 << c) - 1), x) for m, x in _execute({mask: 1}, ops, finals).items())
+        for key, m, x in parts:
+            part = comps.setdefault(key, {})
+            part[m] = part.get(m, 0) + coeff * x
     return {key: kept for key, part in comps.items() if (kept := {m: x for m, x in part.items() if x})}
 
 

@@ -23,7 +23,7 @@ from khbraid.homalg import (
 )
 from khbraid.linkinv import BraidWord, braid_complex, idempotent_truncate
 from khbraid.oracle import braid_to_pd, cube_complex
-from khbraid.planar import circles, enumerate_matchings, mixed, plait
+from khbraid.planar import circles, enumerate_matchings, horseshoe, mixed, plait
 from khbraid.tangle import counit_map, twist
 from khbraid.tqft import mask_qdeg
 
@@ -714,6 +714,82 @@ def test_module_map_composition_is_matrix_product():
     gf = g.compose(f)
     expected = ArcCombination(p2, p2, {0b01: 1, 0b10: 1})
     assert entry(gf, (0, 0)) == expected
+
+
+def entrywise_compose(g, f):
+    """g after f entry by entry, the reference for `ModuleMap.compose`:
+    entry (r, c) is the sum over k of multiply(g[r, k], f[k, c]), kept only
+    when it is nonzero."""
+    out = {}
+    for r, c in itertools.product(range(len(g.target)), range(len(f.source))):
+        total = ArcCombination(f.source[c].matching, g.target[r].matching)
+        for k in range(len(f.target)):
+            if (k, c) in f.entries and (r, k) in g.entries:
+                total = total + multiply(entry(g, (r, k)), entry(f, (k, c)))
+        if total:
+            out[(r, c)] = total.terms
+    return out
+
+
+def _random_map(rng, source, target, density):
+    entries = {}
+    for r, c in itertools.product(range(len(target)), range(len(source))):
+        if rng.random() < density:
+            k = circles(source[c].matching, target[r].matching).c
+            masks = rng.sample(range(1 << k), rng.randint(1, min(3, 1 << k)))
+            entries[(r, c)] = {m: rng.choice((-2, -1, 1, 2)) for m in masks}
+    return ModuleMap(source, target, entries)
+
+
+def test_compose_matches_entrywise_products():
+    # seeded maps at n <= 3; a middle summand repeated with the negated row
+    # cancels its route, so some sums cancel in part and some in full
+    rng = random.Random(20)
+    cancelled = 0
+    for n in (1, 2, 3):
+        ms = enumerate_matchings(n)
+        for _ in range(15):
+            src, mid, tgt = (tuple(ProjSummand(rng.choice(ms), 0) for _ in range(rng.randint(1, 4)))
+                             for _ in range(3))
+            f = _random_map(rng, src, mid, 0.6)
+            g = _random_map(rng, mid, tgt, 0.6)
+            # P_k repeated: f's row k copied, g's column k negated
+            k = rng.randrange(len(mid))
+            f2 = ModuleMap(src, mid + (mid[k],), {**f.entries, **{
+                (len(mid), c): t for (kk, c), t in f.entries.items() if kk == k}})
+            g2 = ModuleMap(mid + (mid[k],), tgt, {**g.entries, **{
+                (r, len(mid)): {m: -x for m, x in t.items()} for (r, kk), t in g.entries.items() if kk == k}})
+            for gg, ff in ((g, f), (g2, f2)):
+                want = entrywise_compose(gg, ff)
+                assert gg.compose(ff).entries == want
+                reached = {(r, c) for (r, k1) in gg.entries for (k2, c) in ff.entries if k1 == k2}
+                cancelled += len(reached - set(want))
+    assert cancelled == 101  # entries some product reaches whose sum is zero
+
+
+def test_compose_packs_masks_of_the_widest_blocks():
+    # the diagonal block of horseshoe(16) has 16 circles, the most any block
+    # reaches at the CLI's strand bound; products there stay apart
+    hs = horseshoe(16)
+    top = (1 << 16) - 1
+    assert circles(hs, hs).c == 16
+    src, mid, tgt = (ProjSummand(hs, 0),) * 3, (ProjSummand(hs, 0),) * 2, (ProjSummand(hs, 0),) * 3
+    f = ModuleMap(src, mid, {
+        (0, 0): {0: 1, 1 << 15: 2}, (1, 0): {0: 1},
+        (0, 1): {top ^ 1: 1}, (1, 1): {top ^ 1: 1},
+        (0, 2): {1: 1, 1 << 15: -1}, (1, 2): {1 << 15: 1},
+    })
+    g = ModuleMap(mid, tgt, {
+        (0, 0): {0: 1}, (0, 1): {0: -1},  # row 0: f's columns 1 cancel in full
+        (1, 0): {1: 1}, (1, 1): {top ^ 1: 3},
+        (2, 0): {0: 1}, (2, 1): {0: 1},
+    })
+    gf = g.compose(f)
+    assert gf.entries == entrywise_compose(g, f)
+    assert (0, 1) not in gf.entries  # x^(top^1) - x^(top^1)
+    assert gf.entries[(2, 2)] == {1: 1}  # the two 1 << 15 terms cancel
+    assert gf.entries[(1, 1)] == {top: 1}  # x_0 . x^(top^1), the all-x labeling
+    assert gf.entries[(1, 0)] == {1: 1, 1 << 15 | 1: 2, top ^ 1: 3}
 
 
 def test_complex_checks_that_every_entry_lies_in_its_block():

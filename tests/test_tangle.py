@@ -182,6 +182,63 @@ def test_cupcap_respects_composition():
         _composition_checks(i, a, b, c, g, h)
 
 
+def direct_components(i, a, b, terms, cup):
+    """The reference for `_transformed_components`: run the saddle schedule
+    on the whole element, then split the result by the closed-circle bits.
+    Also returns how many split terms summed to zero."""
+    ops, down, up, _table = tangle._saddle_schedule(a, b, i)
+    finals = up if cup else down
+    c = len(finals) - 2
+    comps, zeros = {}, 0
+    for m, coeff in _execute(dict(terms), ops, finals).items():
+        u = 1 - (m >> c & 1) if (i, i + 1) in a.pairs else None
+        v = m >> (c + 1) & 1 if (i, i + 1) in b.pairs else None
+        if coeff:
+            comps.setdefault((u, v), {})[m & ((1 << c) - 1)] = coeff
+        zeros += not coeff
+    return comps, zeros
+
+
+def _cancelling_element(rng, i, a, b):
+    """Two labelings of block (a, b) whose images share a term, weighted so
+    that this term cancels, or None when no two images overlap."""
+    c = circles(a, b).c
+    seen = {}
+    for mask in rng.sample(range(1 << c), 1 << c):
+        for key, part in direct_components(i, a, b, {mask: 1}, True)[0].items():
+            for m, x in part.items():
+                if (key, m) in seen and seen[(key, m)][0] != mask:
+                    other, y = seen[(key, m)]
+                    return {other: x, mask: -y}
+                seen[(key, m)] = (mask, x)
+    return None
+
+
+def test_saddle_table_matches_a_direct_run():
+    # every (a, b, i) for n <= 3 and a seeded sample at n = 4, on multi-term
+    # elements, some of whose parts cancel; from cold tables, cup and cap
+    # read-offs alternate on each schedule, so a table that ignored the
+    # read-off would hand one the other's parts
+    rng = random.Random(20)
+    cases = [(a, b, i) for n in (1, 2, 3) for a, b in itertools.product(enumerate_matchings(n), repeat=2)
+             for i in range(1, 2 * n)]
+    ms = enumerate_matchings(4)
+    cases += [(rng.choice(ms), rng.choice(ms), rng.randint(1, 7)) for _ in range(60)]
+    tangle._saddle_schedule.cache_clear()
+    zeros = 0
+    for a, b, i in cases:
+        c = circles(a, b).c
+        elements = [{m: rng.choice((-3, -1, 1, 2)) for m in rng.sample(range(1 << c), min(c + 1, 1 << c))}
+                    for _ in range(3)]
+        elements.append(_cancelling_element(rng, i, a, b) or {0: 1})
+        for k, terms in enumerate(elements):
+            for cup in ((True, False) if k % 2 else (False, True)):
+                want, z = direct_components(i, a, b, terms, cup)
+                assert _transformed_components(i, a, b, terms, cup) == want, (a, b, i, terms, cup)
+                zeros += z
+    assert zeros == 138  # split terms that summed to zero
+
+
 # ---------------------------------------------------------------------------
 # unit, counit, twists
 
