@@ -2,14 +2,14 @@
 
 The pipeline starts from the projective of the horseshoe matching over H_n
 (2n boundary points for an n-strand braid; the braid embeds through its
-first n-1 generator indices), applies one mapping-cone twist per letter
-with Gaussian-elimination reduction in between (`_twisted`), closes by the
-horseshoe idempotent and takes integer homology (`_closed_homology`).  The
-closure caps down to H_0 by the cup/cap adjunction (`idempotent_truncate`).
-`compute` closes as it goes (Bar-Natan's scanning): cap_m runs right after
-the last sigma_{m-1}, on the conjugate of the word that scans cheapest.
-The Markov, skein, braid-relation and twist-inverse suites run on the same
-two steps, unscanned.
+first n-1 generator indices) and runs one letter loop (`_twisted`): one
+mapping-cone twist per letter, Gaussian-elimination reduction after each,
+and Bar-Natan's scanning, which runs cap_m right after the last
+sigma_{m-1}, on the conjugate that scans cheapest, down to H_1; it closes
+along horseshoe(1) (`idempotent_truncate`) and takes integer homology.
+`compute` and the skein suite's resolution, cup_i cap_i in place of one
+twist, share that path; the braid-relation and twist-inverse suites run
+the loop with no caps and close at every matching.
 
 Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
 calibrated once on the unknot and trefoil against the cube oracle and
@@ -165,11 +165,12 @@ class InvariantResult:
         }
 
 
-def _twisted(letters, C: Complex, caps=None) -> Complex:
-    """C after one twist per letter (generator index, sign), reduced after
+def _twisted(letters, C: Complex, caps=None, resolved: int | None = None) -> Complex:
+    """C after one twist per letter (generator index, sign), or at letter
+    resolved its unoriented resolution (cup_i cap_i C){sign}, reduced after
     every letter and after each cap in caps[t], run after letter t."""
     for t, (i, s) in enumerate(letters):
-        C = eliminate(twist(i, s, C))
+        C = eliminate(cupcap_functor(i, C, s)[0] if t == resolved else twist(i, s, C))
         for m in caps[t] if caps else ():
             C = eliminate(cap_functor(m, C))
     return C
@@ -185,11 +186,6 @@ def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
         if a.n:
             C = eliminate(C)
     return free_complex(C)
-
-
-def _closed_homology(a: Matching, C: Complex, coefficients: str) -> BigradedGroup:
-    """Raw homology of Hom(P_a, C)."""
-    return homology(idempotent_truncate(a, C), coefficients)
 
 
 def _cap_plan(strands: int, letters) -> list[list[int]]:
@@ -233,56 +229,59 @@ def _scan_norm(strands: int, letters, caps, bound) -> int | None:
     return total
 
 
-def _cheapest_conjugate(b: BraidWord) -> BraidWord:
-    """b on the k strands its letters touch, as the conjugate that scans
-    cheapest: of the L rotations of the word, each with and without
-    sigma_i -> sigma_{k-i}, the 6 with the least sum over letters of the
-    Catalan number of the level then open, and of those the one with the
-    least `_scan_norm`."""
-    lo = min((i for i, _s in b.letters), default=1)
-    k = max((i for i, _s in b.letters), default=0) - lo + 2
-    word = [(i - lo + 1, s) for i, s in b.letters]
+def _cheapest_conjugate(b: BraidWord, mark: int | None = None):
+    """(c, caps, position): b on the k strands its letters touch, renumbered
+    in order, as the conjugate c that scans cheapest, c's `_cap_plan`, and
+    the position to which c's rotation moved letter mark.  Of the L
+    rotations of the word, each with and without sigma_i -> sigma_{k-i},
+    the 6 with the least sum over letters of the Catalan number of the
+    level then open are scanned, and the least `_scan_norm` wins.  That norm
+    on all 2L, with its abort, chose 3-4x slower and won less back."""
+    rank = {p: r for r, p in enumerate(sorted({p for i, _s in b.letters for p in (i, i + 1)}), 1)}
+    k = len(rank) or 1
+    word = [(rank[i], s) for i, s in b.letters]
     ranked = []
     for w in (word, [(k - i, s) for i, s in word]):
         for r in range(len(w) or 1):
             v = w[r:] + w[:r]
             caps = _cap_plan(k, v)
             levels = accumulate((len(due) for due in caps[:-1]), sub, initial=k)
-            ranked.append((sum(comb(2 * m, m) // (m + 1) for m in levels), len(ranked), v, caps))
+            ranked.append((sum(comb(2 * m, m) // (m + 1) for m in levels), len(ranked), v, caps, r))
     best, choice = float("inf"), None
-    for _cost, _n, v, caps in sorted(ranked)[:6]:
+    for _cost, _n, v, caps, r in sorted(ranked)[:6]:
         norm = _scan_norm(k, v, caps, best)
         if norm is not None:
-            best, choice = norm, v
-    return BraidWord(k, tuple(choice))
+            best, choice = norm, (BraidWord(k, tuple(v)), caps, None if mark is None else (mark - r) % len(v))
+    return choice
 
 
-def braid_complex(b: BraidWord, scan: bool = False) -> Complex:
-    """The twisted projective complex of the word, reduced after every
-    letter, in H_n; with scan, capped down to H_1 by `_cap_plan`."""
-    caps = _cap_plan(b.strands, b.letters) if scan else None
-    return _twisted(b.letters, Complex.single(horseshoe(b.strands)), caps)
+def braid_complex(b: BraidWord, caps, resolved: int | None = None) -> Complex:
+    """The horseshoe's projective in H_n through b's letter loop
+    (`_twisted`), with letter `resolved` resolved; a `_cap_plan` for caps
+    ends it in H_1."""
+    return _twisted(b.letters, Complex.single(horseshoe(b.strands)), caps, resolved)
 
 
-def _graded_homology(b: BraidWord, C: Complex, coefficients: str) -> BigradedGroup:
-    """Khovanov homology of the closure of b from its complex C, in H_n or
-    scanned down to H_1, closed along that level's horseshoe."""
-    level = next(iter(C.terms.values()))[0].matching.n
-    raw = _closed_homology(horseshoe(level), C, coefficients)
-    return raw.shifted(b.positives * HOM_OFFSET_PER_POSITIVE,
-                       b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+def _scanned_homology(b: BraidWord, coefficients: str, resolved: int | None = None) -> BigradedGroup:
+    """Raw homology of the closure of b, with letter `resolved` resolved, by
+    the scan of the cheapest conjugate to H_1; each strand no letter touches
+    is an unknot: Kh(L + unknot) = Kh(L) (x) V."""
+    c, caps, at = _cheapest_conjugate(b, resolved)
+    raw = homology(idempotent_truncate(horseshoe(1), braid_complex(c, caps, at)), coefficients)
+    for _ in range(b.strands - c.strands):
+        raw = raw.shifted(0, 1) + raw.shifted(0, -1)
+    return raw
 
 
 def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     """Khovanov homology of the closure of b, exact over Z by default.
 
-    coefficients: "Z", "Q", or "Fp" (e.g. "F2").  Scans the cheapest
-    conjugate; it has b's letter signs, so the offsets hold.
+    coefficients: "Z", "Q", or "Fp" (e.g. "F2").  The scanned conjugate has
+    b's letter signs, so the offsets hold.
     """
-    c = _cheapest_conjugate(b)
-    bigraded = _graded_homology(c, braid_complex(c, scan=True), coefficients)
-    for _ in range(b.strands - c.strands):  # Kh(L + unknot) = Kh(L) (x) V
-        bigraded = bigraded.shifted(0, 1) + bigraded.shifted(0, -1)
+    bigraded = _scanned_homology(b, coefficients).shifted(
+        b.positives * HOM_OFFSET_PER_POSITIVE,
+        b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
     shifts = {
         "homological": b.positives,
         "quantum": b.writhe,
@@ -334,7 +333,7 @@ def verify_markov(b: BraidWord, seed: int = 0, coefficients: str = "Z") -> dict:
 def _all_truncated_homologies(n: int, P: Complex, letters) -> dict:
     """Raw homology of Hom(P_a, P twisted by the letters), for every a."""
     C = _twisted(letters, P)
-    return {a: _closed_homology(a, C, "Z") for a in enumerate_matchings(n)}
+    return {a: homology(idempotent_truncate(a, C), "Z") for a in enumerate_matchings(n)}
 
 
 def verify_braid_relations(n: int) -> dict:
@@ -418,11 +417,9 @@ def _complement_arc_v(b: BraidWord, c: int) -> int:
 def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[BigradedGroup, int]:
     """Groups of the unoriented resolution at letter c, in the absolute
     (i, j) grading of the resolved diagram, plus the correction v."""
-    idx, sign = b.letters[c]
+    sign = b.letters[c][1]
     v = _complement_arc_v(b, c)
-    C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
-    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(idx, C, sign)[0]))
-    raw = _closed_homology(horseshoe(b.strands), C, coefficients)
+    raw = _scanned_homology(b, coefficients, c)
     P, N = b.positives, b.negatives
     if sign == 1:
         di = (P - 1) - v

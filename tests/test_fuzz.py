@@ -1,16 +1,19 @@
 """Seeded differential fuzzing of the arc pipeline.
 
-hypothesis draws braid words on 2-4 strands of 1-7 letters.  derandomize
-fixes the examples, so every run checks the same words, and no example
-database is written.  Besides the cube oracle, the referees are the link
-invariance of the homology: mirror, conjugation and Markov stabilisation.
+hypothesis draws braid words on 2-4 strands of 1-7 letters, and for the
+skein resolution words on 2-5 strands that may skip generators.
+derandomize fixes the examples, so every run checks the same words, and no
+example database is written.  Besides the cube oracle, the referees are the
+link invariance of the homology: mirror, conjugation and Markov
+stabilisation.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from khbraid.homalg import BigradedGroup, homology
-from khbraid.linkinv import BraidWord, compute
-from khbraid.oracle import braid_to_pd, cube_complex
+from khbraid.linkinv import BraidWord, _infinity_homology, compute
+from khbraid.oracle import braid_to_pd, cube_complex, cube_homology
+from test_oracle import braid_to_pd_resolved
 
 seeded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -20,6 +23,16 @@ def braid_words(draw) -> BraidWord:
     n = draw(st.integers(2, 4))
     letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
     return BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=7))))
+
+
+@st.composite
+def sparse_braid_words(draw) -> BraidWord:
+    """Words on 2-5 strands of 1-6 letters from a drawn set of generators,
+    so that strands inside the letters' range can stay untouched."""
+    n = draw(st.integers(2, 5))
+    used = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1).filter(any))
+    letter = st.tuples(st.sampled_from([i for i, u in enumerate(used, 1) if u]), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=6))))
 
 
 @seeded
@@ -53,3 +66,15 @@ def test_markov_stabilisation_invariance_over_q(b, s):
     n = b.strands
     stabilised = BraidWord(n + 1, (*b.letters, (n, s)))
     assert compute(stabilised, "Q").bigraded == compute(b, "Q").bigraded, (b.format(), s)
+
+
+@seeded
+@given(sparse_braid_words())
+@example(BraidWord(5, ((4, 1), (1, -1), (4, 1), (1, 1))))  # strand 3 untouched inside the range
+def test_skein_resolution_equals_the_cube_at_every_crossing(b):
+    # the scanned resolution runs on a renumbered, rotated and maybe flipped
+    # conjugate; the cube resolves the diagram of the word as given
+    for c in range(len(b)):
+        Z, v = _infinity_homology(b, c, "Z")
+        diagram, cube_v = braid_to_pd_resolved(b, c)
+        assert v == cube_v and Z == cube_homology(diagram, "Z"), (b.format(), c)

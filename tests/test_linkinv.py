@@ -6,18 +6,25 @@ from math import comb
 import pytest
 
 from khbraid.arcalg import _MULT_SCHEDULE_MAXSIZE, _mult_schedule
-from khbraid.homalg import BigradedGroup, Complex
+from khbraid.homalg import BigradedGroup, Complex, eliminate, homology
 from khbraid.linkinv import (
+    HOM_OFFSET_PER_POSITIVE,
+    Q_OFFSET_PER_NEGATIVE,
+    Q_OFFSET_PER_POSITIVE,
     BraidWord,
+    _cap_plan,
+    _cheapest_conjugate,
     _complement_arc_v,
-    _graded_homology,
+    _scanned_homology,
+    _twisted,
     braid_complex,
     compute,
+    idempotent_truncate,
     verify_markov,
     verify_skein,
 )
 from khbraid.planar import horseshoe, matching
-from khbraid.tangle import twist
+from khbraid.tangle import cupcap_functor, twist
 
 UNKNOT = {(0, 1): (1, ()), (0, -1): (1, ())}
 RIGHT_TREFOIL = {
@@ -31,6 +38,22 @@ RIGHT_TREFOIL = {
 
 def groups(b, coeffs="Z"):
     return compute(BraidWord.from_ints(*b) if isinstance(b, tuple) else b, coeffs).bigraded
+
+
+def closed_groups(b, C):
+    """Khovanov homology over Z of the closure of b from its complex C,
+    closed along the horseshoe of C's level: H_n when C is b's word
+    twisted in H_n with no caps, H_1 when it is scanned."""
+    level = next(iter(C.terms.values()))[0].matching.n
+    raw = homology(idempotent_truncate(horseshoe(level), C), "Z")
+    return raw.shifted(b.positives * HOM_OFFSET_PER_POSITIVE,
+                       b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+
+
+def unscanned_groups(b):
+    """The reference that scanning replaced: b's whole word in H_n, closed
+    along horseshoe(n)."""
+    return closed_groups(b, braid_complex(b, None))
 
 
 def test_horseshoe():
@@ -156,7 +179,7 @@ def test_reduced_and_unreduced_paths_agree():
         unreduced = Complex.single(horseshoe(n))
         for i, s in b.letters:
             unreduced = twist(i, s, unreduced)
-        assert compute(b).bigraded == _graded_homology(b, unreduced, "Z")
+        assert compute(b).bigraded == closed_groups(b, unreduced)
 
 
 def test_markov_trefoil_and_unknot():
@@ -190,8 +213,9 @@ def test_skein_unknot_and_trefoil():
 
 
 def test_braid_complex_is_valid():
-    C = braid_complex(BraidWord.from_ints(2, [1, -1, 1]))
-    C.validate()
+    b = BraidWord.from_ints(2, [1, -1, 1])
+    for caps in (None, _cap_plan(2, b.letters)):
+        braid_complex(b, caps).validate()
 
 
 def test_oracle_agreement_up_to_four_strands():
@@ -239,7 +263,7 @@ def test_seven_strand_word_through_an_evicting_schedule_cache():
     b = BraidWord.parse("n=7 1 2 3 4 5 6 -1 -2 -3 -4 -5 -6 1 1")
     assert compute(b, "Z").bigraded.entries == RIGHT_TREFOIL
     _mult_schedule.cache_clear()
-    assert _graded_homology(b, braid_complex(b), "Z").entries == RIGHT_TREFOIL
+    assert unscanned_groups(b).entries == RIGHT_TREFOIL
     assert _mult_schedule.cache_info().misses > _MULT_SCHEDULE_MAXSIZE
 
 
@@ -262,10 +286,10 @@ def test_every_conjugate_scans_to_the_same_groups():
     for n in (3, 4, 5, 6) * 2:
         word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 9))]
         b = BraidWord.from_ints(n, word)
-        want = _graded_homology(b, braid_complex(b), "Z")
+        want = unscanned_groups(b)
         assert compute(b).bigraded == want
         for v in conjugates(b):
-            assert _graded_homology(v, braid_complex(v, scan=True), "Z") == want, (word, v)
+            assert closed_groups(v, braid_complex(v, _cap_plan(n, v.letters))) == want, (word, v)
 
 
 def times_v(H, copies):
@@ -290,6 +314,40 @@ def test_wide_braids():
     for k in (6, 16):
         assert groups((k, [1, -2, 1])) == times_v(small, k - 3)
     assert groups((5, [])) == times_v(unknot, 4)
+    # strands 4-14 lie inside the letters' range but no letter touches them
+    assert groups((16, [1, -2, 1, 15])) == times_v(groups((5, [1, -2, 1, 4])), 11)
+    # the skein triangle's three links all scan
+    assert verify_skein(BraidWord.from_ints(12, list(range(1, 12))), 5)["ok"]
+
+
+def unscanned_resolution(b, c):
+    """The raw groups over Z of b's closure with letter c resolved, by the
+    build that scanning replaced: the letters before c twist in H_n, cup_i
+    cap_i resolves c, the rest twist, and the closure is along
+    horseshoe(n)."""
+    idx, sign = b.letters[c]
+    C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
+    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(idx, C, sign)[0]))
+    return homology(idempotent_truncate(horseshoe(b.strands), C), "Z")
+
+
+def test_scanned_resolution_equals_the_unscanned_one_beyond_the_cube():
+    # 8-12 crossings on 5-8 strands, at every crossing; the chosen conjugate
+    # is the flip sigma_i -> sigma_{k-i} on some words, and its rotation
+    # moves the resolved crossing on some
+    rng = random.Random(21)
+    flipped = moved = False
+    for n in (5, 6, 7, 8):
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(8, 12))]
+        b = BraidWord.from_ints(n, word)
+        rotations = {b.letters[r:] + b.letters[:r] for r in range(len(b))}
+        for c in range(len(b)):
+            assert _scanned_homology(b, "Z", c) == unscanned_resolution(b, c), (word, c)
+            v, _caps, at = _cheapest_conjugate(b, c)
+            assert v.letters[at][1] == b.letters[c][1]
+            flipped |= v.strands == n and v.letters not in rotations
+            moved |= at != c
+    assert flipped and moved
 
 
 def _tl_jones(b):

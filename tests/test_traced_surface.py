@@ -18,11 +18,15 @@ def load_tracer():
     return mod
 
 
-def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
-    tracing = load_tracer()
-    kh = SimpleNamespace(
+def real_modules():
+    return SimpleNamespace(
         **{m: importlib.import_module(f"khbraid.{m}") for m in ("cli", "linkinv", "tangle", "homalg", "oracle")}
     )
+
+
+def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
+    tracing = load_tracer()
+    kh = real_modules()
     tr = tracing.Tracer()
     undo = tracing.install(tr, kh)
     try:
@@ -51,6 +55,23 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
     assert calls.get("tangle.unit_map", 0) + calls.get("tangle.counit_map", 0) == 2
     for name in ("linkinv.braid_complex", "homalg.idempotent_truncate", "homalg.homology"):
         assert calls.get(name, 0) == 1, name
+
+
+def test_traced_skein_runs_all_three_links_through_the_letter_loop(capsys):
+    # the crossing, its oriented smoothing and its unoriented resolution each
+    # scan once: a skein path that bypasses the letter loop reads fewer
+    tracing = load_tracer()
+    kh = real_modules()
+    tr = tracing.Tracer()
+    undo = tracing.install(tr, kh)
+    try:
+        assert kh.cli.main(["verify", "skein", "--braid", "1 1 1", "-n", "2", "--crossing", "0"]) == 0
+    finally:
+        tracing.uninstall(undo)
+    assert json.loads(capsys.readouterr().out)["ok"]
+    _self_s, _incl_s, calls = tracing.self_times(tr.spans, tr.folded)
+    for name in ("linkinv.braid_complex", "homalg.idempotent_truncate", "homalg.homology"):
+        assert calls.get(name, 0) == 3, name
 
 
 def test_traced_caches_expose_cache_info(capsys):
