@@ -1,8 +1,10 @@
 """Cube-of-resolutions Khovanov homology: the classical construction.
 
 Deliberately independent of the arc-algebra pipeline -- the only shared
-code is the Frobenius algebra V and the homology routine -- so that the
-agreement of the two paths is a meaningful cross-check.
+code is the quantum degree of a label mask (``tqft.mask_qdeg``) and the
+homology routine -- so that the agreement of the two paths is a meaningful
+cross-check.  The Frobenius algebra V's merge and split are restated in
+`cube_complex`, so a fault in the arc path's V cannot hide from it.
 
 Diagrams are lists of crossings; each crossing is a 4-tuple of edge labels
 read counterclockwise from the incoming under-strand, plus its sign.  The
@@ -16,17 +18,13 @@ import re
 from dataclasses import dataclass
 
 from .homalg import BigradedGroup, FreeComplex, homology
-from .tqft import mask_merge, mask_split, mask_qdeg
+from .tqft import mask_qdeg
 
 
 @dataclass(frozen=True)
 class Crossing:
     edges: tuple[int, int, int, int]  # ccw from incoming under-strand
     sign: int
-
-    def smoothing(self, bit: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b, c, d = self.edges
-        return ((a, b), (c, d)) if bit == 0 else ((a, d), (b, c))
 
 
 @dataclass(frozen=True)
@@ -207,16 +205,31 @@ def parse_pd(text: str) -> Diagram:
 # the cube
 
 
-def _vertex_circles(d: Diagram, labels: list[int], vertex: int) -> dict[int, int]:
-    """Circle index of each edge in the complete smoothing chosen by the bits
-    of ``vertex``.  ``labels`` lists the edge labels in ascending order, so
+def _circle_walk(ends: list[int], mate: list[int], first: list[int], vertex: int):
+    """(circle index of each edge id, least edge id of each circle) in the
+    complete smoothing chosen by the bits of ``vertex``.
+
+    End 4t + q is position q of crossing t and carries edge ``ends[4t + q]``;
+    ``first`` is each edge's first end and ``mate`` pairs the two ends of an
+    edge.  The smoothing at t joins q to q ^ 1 (bit 0) or to q ^ 3 (bit 1),
+    so a walk that enters a crossing at an end leaves it by that partner and
+    enters the next crossing at the partner's mate.  Edge ids follow the
+    ascending labels, and each walk starts at the least unvisited one, so
     circles are numbered by their least edge."""
-    parent: dict[int, int] = {}
-    for t, x in enumerate(d.crossings):
-        for e1, e2 in x.smoothing(vertex >> t & 1):
-            _union(parent, e1, e2)
-    roots: dict[int, int] = {}
-    return {e: roots.setdefault(_find(parent, e), len(roots)) for e in labels}
+    circ = [-1] * len(first)
+    least: list[int] = []
+    for e, start in enumerate(first):
+        if circ[e] < 0:
+            k = len(least)
+            least.append(e)
+            i = start
+            while True:
+                j = i ^ (1 | (vertex >> (i >> 2) & 1) << 1)
+                circ[ends[j]] = k
+                i = mate[j]
+                if i == start:
+                    break
+    return circ, least
 
 
 def cube_complex(d: Diagram) -> FreeComplex:
@@ -228,9 +241,18 @@ def cube_complex(d: Diagram) -> FreeComplex:
     edge: the cobordism is the identity on it and it keeps its label, at the
     index its edges have in the target.  Each cube edge therefore works out
     once where every source bit goes -- a circle away from t to that index, a
-    free loop up or down by the change in circle count, a circle through t to
-    a scratch bit -- and one merge or split writes the target circles through
-    t, for all generators at once.
+    free loop up or down by the change in circle count, a circle through t
+    nowhere -- as ``moved``, the target row of each source generator with
+    the circles through t left 1.  Each generator's column is made once per
+    vertex, and each cube edge writes its one or two entries straight into
+    it, by V's rules on the labels of the circles through t: a merge takes
+    1·1 to 1, 1·x and x·1 to x, and x·x to 0; a split takes 1 to 1⊗x + x⊗1
+    and x to x⊗x.
+
+    V is restated here rather than read from ``tqft``'s ``mask_merge`` and
+    ``mask_split``: one entry is then one dict write, and a fault in the arc
+    path's V cannot hide from the arc==oracle cross-check.  Only
+    ``tqft.mask_qdeg`` and the homology kernel are shared.
 
     Edge signs are (-1)^{set bits below the flipped coordinate}.  Raises
     ValueError when flipping a crossing neither merges two circles nor
@@ -238,10 +260,16 @@ def cube_complex(d: Diagram) -> FreeComplex:
     """
     d.validate()
     m = len(d.crossings)
-    np_, nm = d.n_plus, d.n_minus
-    labels = d.edge_labels()
-    circles_at = [_vertex_circles(d, labels, v) for v in range(1 << m)]
-    ncirc = [len(set(circ.values())) for circ in circles_at]
+    np_, nm, loops = d.n_plus, d.n_minus, d.free_loops
+    eid = {e: i for i, e in enumerate(d.edge_labels())}
+    ends = [eid[e] for x in d.crossings for e in x.edges]
+    first = [ends.index(e) for e in range(len(eid))]
+    mate = [0] * len(ends)
+    for i in first:
+        j = ends.index(ends[i], i + 1)
+        mate[i], mate[j] = j, i
+    walks = [_circle_walk(ends, mate, first, v) for v in range(1 << m)]
+    ncirc = [len(least) for _circ, least in walks]
 
     offset: list[int] = []
     basis: dict[int, list[int]] = {}
@@ -249,44 +277,52 @@ def cube_complex(d: Diagram) -> FreeComplex:
         r = v.bit_count()
         degs = basis.setdefault(r - nm, [])
         offset.append(len(degs))
-        nloops = ncirc[v] + d.free_loops
+        nloops = ncirc[v] + loops
         for mask in range(1 << nloops):
             degs.append(mask_qdeg(mask, nloops) + r + np_ - 2 * nm)
 
     mats: dict[int, dict[int, dict[int, int]]] = {}
-    for v in range(1 << m):
-        src = circles_at[v]
-        edge_of = {k: e for e, k in src.items()}  # one edge per source circle
-        for t, x in enumerate(d.crossings):
+    for v in range((1 << m) - 1):  # the last vertex has no outgoing edge
+        src, least = walks[v]
+        cols: list[dict[int, int]] = [{} for _ in range(1 << (ncirc[v] + loops))]
+        for t in range(m):
             if v >> t & 1:
                 continue
             w = v | 1 << t
-            tgt = circles_at[w]
-            at_src = sorted({src[e] for e in x.edges})
-            at_tgt = sorted({tgt[e] for e in x.edges})
+            tgt = walks[w][0]
+            at = ends[4 * t : 4 * t + 4]
+            at_src = sorted({src[e] for e in at})
+            at_tgt = sorted({tgt[e] for e in at})
             if (len(at_src), len(at_tgt)) not in ((2, 1), (1, 2)):
-                raise ValueError(f"crossing {t} {x.edges} neither merges nor "
+                raise ValueError(f"crossing {t} {d.crossings[t].edges} neither merges nor "
                                  "splits circles: the diagram is not planar")
-            n_tgt = ncirc[w] + d.free_loops
-            scratch = 1 << n_tgt  # bits n_tgt and n_tgt + 1
-            dest = [scratch << at_src.index(k) if k in at_src else 1 << tgt[edge_of[k]]
-                    for k in range(ncirc[v])]
+            dest = [0 if k in at_src else 1 << tgt[least[k]] for k in range(ncirc[v])]
             shift = ncirc[w] - ncirc[v]
-            dest += [1 << (k + shift) for k in range(ncirc[v], ncirc[v] + d.free_loops)]
-            moved = [0]  # moved[mask]: the source labels of mask at their destinations
+            dest += [1 << (k + shift) for k in range(ncirc[v], ncirc[v] + loops)]
+            moved = [offset[w]]  # moved[mask]: the row of mask, circles through t at 1
             for bit in dest:
-                moved += [mm | bit for mm in moved]
-            # the column rides above the scratch bits, so one call maps them all
-            col_at = n_tgt + 2
+                moved += [row + bit for row in moved]
             sign = -1 if (v & ((1 << t) - 1)).bit_count() % 2 else 1
-            terms = {col << col_at | mm: sign for col, mm in enumerate(moved)}
-            if len(at_src) == 2:
-                terms = mask_merge(terms, scratch, scratch << 1, 1 << at_tgt[0])
-            else:
-                terms = mask_split(terms, scratch, 1 << at_tgt[0], 1 << at_tgt[1])
-            mat = mats.setdefault(v.bit_count() - nm, {})
-            for key, c in terms.items():  # each entry is written once, as ±1
-                mat.setdefault(offset[v] + (key >> col_at), {})[offset[w] + (key & (scratch - 1))] = c
+            if len(at_src) == 2:  # merge
+                both, x = 1 << at_src[0] | 1 << at_src[1], 1 << at_tgt[0]
+                for mask, row in enumerate(moved):
+                    lab = mask & both
+                    if lab != both:
+                        cols[mask][row + x if lab else row] = sign
+            else:  # split
+                x, x1, x2 = 1 << at_src[0], 1 << at_tgt[0], 1 << at_tgt[1]
+                for mask, row in enumerate(moved):
+                    col = cols[mask]
+                    if mask & x:
+                        col[row + x1 + x2] = sign
+                    else:
+                        col[row + x1] = sign
+                        col[row + x2] = sign
+        mat = mats.setdefault(v.bit_count() - nm, {})
+        base = offset[v]
+        for mask, col in enumerate(cols):
+            if col:
+                mat[base + mask] = col
     return FreeComplex(basis, mats)
 
 

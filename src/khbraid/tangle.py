@@ -38,6 +38,7 @@ what it builds; the twist's cone validates it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through
 from .arcalg import _execute, _surgery_schedule
@@ -110,6 +111,10 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
 # the cap functor and the cup_i cap_i endofunctor
 
 
+# the nine (source label, target label) part keys, shared by every table part
+_PART_KEYS = {key: key for key in product((None, 0, 1), repeat=2)}
+
+
 def _transformed_components(
     i: int, a: Matching, b: Matching, terms: dict[int, int], cup: bool = True
 ) -> dict[tuple[int | None, int | None], dict[int, int]]:
@@ -134,7 +139,7 @@ def _transformed_components(
         parts = table.get(mask << 1 | cup)
         if parts is None:
             parts = table[mask << 1 | cup] = tuple(
-                ((1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None),
+                (_PART_KEYS[1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None],
                  m & ((1 << c) - 1), x) for m, x in _execute({mask: 1}, ops, finals).items())
         for key, m, x in parts:
             part = comps.setdefault(key, {})

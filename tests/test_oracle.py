@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from khbraid.homalg import homology
+from khbraid.homalg import FreeComplex, homology
 from khbraid.linkinv import BraidWord, _infinity_homology
 from khbraid.oracle import (
     Crossing,
@@ -16,6 +16,7 @@ from khbraid.oracle import (
     format_pd,
     parse_pd,
 )
+from khbraid.tqft import mask_merge, mask_qdeg, mask_split
 from test_homalg import homology_without_clearing
 
 UNKNOT = {(0, 1): (1, ()), (0, -1): (1, ())}
@@ -155,6 +156,124 @@ def test_random_codes_build_or_refuse():
         else:
             built += 1
     assert built and refused and max(refused) >= 2
+
+
+# the reference of cube_complex: the cube built through tqft's V, with the
+# generators of each cube edge packed into one dict and circles found by a
+# union-find per vertex
+
+
+def reference_vertex_circles(d: Diagram, labels: list[int], vertex: int) -> dict[int, int]:
+    """Circle index of each edge in the complete smoothing chosen by the bits
+    of ``vertex``, numbered by the least edge."""
+    parent: dict[int, int] = {}
+    for t, x in enumerate(d.crossings):
+        a, b, c, e = x.edges
+        # the 0-smoothing joins (a, b) and (c, e), the 1-smoothing (a, e) and (b, c)
+        for e1, e2 in ((a, e), (b, c)) if vertex >> t & 1 else ((a, b), (c, e)):
+            _union(parent, e1, e2)
+    roots: dict[int, int] = {}
+    return {e: roots.setdefault(_find(parent, e), len(roots)) for e in labels}
+
+
+def reference_cube(d: Diagram) -> FreeComplex:
+    """cube_complex with every edge map run by tqft.mask_merge / mask_split.
+
+    Each cube edge sends the source labels of circles away from t to their
+    target bits and those of the circles through t to two scratch bits, with
+    the column packed above them, so one merge or split call maps every
+    generator of the vertex at once."""
+    d.validate()
+    m = len(d.crossings)
+    np_, nm = d.n_plus, d.n_minus
+    labels = d.edge_labels()
+    circles_at = [reference_vertex_circles(d, labels, v) for v in range(1 << m)]
+    ncirc = [len(set(circ.values())) for circ in circles_at]
+
+    offset: list[int] = []
+    basis: dict[int, list[int]] = {}
+    for v in range(1 << m):
+        r = v.bit_count()
+        degs = basis.setdefault(r - nm, [])
+        offset.append(len(degs))
+        nloops = ncirc[v] + d.free_loops
+        for mask in range(1 << nloops):
+            degs.append(mask_qdeg(mask, nloops) + r + np_ - 2 * nm)
+
+    mats: dict[int, dict[int, dict[int, int]]] = {}
+    for v in range(1 << m):
+        src = circles_at[v]
+        edge_of = {k: e for e, k in src.items()}
+        for t, x in enumerate(d.crossings):
+            if v >> t & 1:
+                continue
+            w = v | 1 << t
+            tgt = circles_at[w]
+            at_src = sorted({src[e] for e in x.edges})
+            at_tgt = sorted({tgt[e] for e in x.edges})
+            if (len(at_src), len(at_tgt)) not in ((2, 1), (1, 2)):
+                raise ValueError("the diagram is not planar")
+            n_tgt = ncirc[w] + d.free_loops
+            scratch = 1 << n_tgt
+            dest = [scratch << at_src.index(k) if k in at_src else 1 << tgt[edge_of[k]]
+                    for k in range(ncirc[v])]
+            shift = ncirc[w] - ncirc[v]
+            dest += [1 << (k + shift) for k in range(ncirc[v], ncirc[v] + d.free_loops)]
+            moved = [0]
+            for bit in dest:
+                moved += [mm | bit for mm in moved]
+            col_at = n_tgt + 2
+            sign = -1 if (v & ((1 << t) - 1)).bit_count() % 2 else 1
+            terms = {col << col_at | mm: sign for col, mm in enumerate(moved)}
+            if len(at_src) == 2:
+                terms = mask_merge(terms, scratch, scratch << 1, 1 << at_tgt[0])
+            else:
+                terms = mask_split(terms, scratch, 1 << at_tgt[0], 1 << at_tgt[1])
+            mat = mats.setdefault(v.bit_count() - nm, {})
+            for key, c in terms.items():
+                mat.setdefault(offset[v] + (key >> col_at), {})[offset[w] + (key & (scratch - 1))] = c
+    return FreeComplex(basis, mats)
+
+
+PD_FIXTURES = [
+    "X(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6,3)\n",
+    "X(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6,3)\nO()\nO\n",
+    "X+(2,4,3,1)\nX+(4,6,5,3)\nX+(6,2,1,5)\n",
+    "X-(1,2,2,1)",
+    "X+(1,1,2,2)",
+    "O()\nO()",
+]
+
+
+def test_cube_matches_the_reference_built_through_tqft():
+    # the restated V against tqft's, entry by entry: closures of seeded words
+    # on 2-5 strands, some leaving strands untouched (free loops), the PD
+    # fixtures, and every random code; a code one builder refuses the other
+    # refuses too
+    rng = random.Random(41)
+    diagrams = [parse_pd(text) for text in PD_FIXTURES]
+    diagrams += [Diagram((Crossing((1, 2, 2, 1), 1),)), Diagram((Crossing((1, 2, 1, 2), 1),))]
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        used = rng.sample(range(1, n), rng.randint(1, n - 1))
+        letters = [rng.choice([1, -1]) * rng.choice(used) for _ in range(rng.randint(0, 8))]
+        diagrams.append(braid_to_pd(word(n, letters)))
+    diagrams += list(_random_codes())
+    built = refused = loops = 0
+    for d in diagrams:
+        try:
+            want = reference_cube(d)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cube_complex(d)
+            refused += 1
+            continue
+        got = cube_complex(d)
+        assert got.basis == want.basis
+        assert got.mats == want.mats
+        built += 1
+        loops += d.free_loops > 0 and bool(d.crossings)
+    assert built > 100 and refused > 100 and loops > 5
 
 
 def test_clearing_agrees_with_whole_block_reduction():
