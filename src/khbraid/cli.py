@@ -26,7 +26,7 @@ class InputError(Exception):
 
 
 # The braid commands refuse more strands than this.  On 16 strands the word
-# "1 -2 1" takes about 0.2 s to compute and 3 s through the oracle (2-core
+# "1 -2 1" takes about 0.15 s to compute and 1.4 s through the oracle (2-core
 # Xeon, fresh process); the oracle's cost grows with every unknot added.
 MAX_STRANDS = 16
 

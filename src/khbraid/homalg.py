@@ -20,30 +20,30 @@ survivors are renumbered once at the end.
 
 A free complex (`FreeComplex`, read off a complex over H_0 by
 `free_complex`, and made by the cube in `oracle`) holds each differential
-once, by columns:
-{col: {row: coeff}}.  Its d² check adds whole columns, and homology splits
-each column once into its (h, j) block.  Homology has one kernel for every
-ring: each block is reduced by unimodular integer row and column
-operations (`smith_diagonal`), and the ranks over Z, Q and F_p and the
-torsion over Z are read off its diagonal.  The kernel reduces the block's
-transpose, whose rows are the block's columns as given; the transpose has
-the same rank and invariant factors.  It has one pivot step, which clears
-the pivot's column by row operations and then reduces the pivot row mod
-the pivot, and two pivot choices: a sweep over the ±1 entries first, then
-entries of least absolute value on what is left.  The blocks of each j go
-in increasing h, and block (h+1, j) is reduced without the columns that
-the unit sweep of block (h, j) pivoted on ("clearing", after Chen and
-Kerber, *Persistent homology computation with a twist*, 2011): each such
-column becomes a cycle in a unimodular change of basis, since d² = 0,
-which `FreeComplex.check_d2` checks on every complex.  Only unit-sweep
-pivots clear; see `homology`.  `rank_over_field` is an independent dense
-eliminator kept as the tests' reference.
+once, as (h, j) blocks in block-local indices, which its producers write
+straight into; its d² check multiplies out every block, and homology hands
+them to the kernel as they are.  Homology has one kernel for every ring:
+each block is reduced by unimodular integer row and column operations
+(`smith_diagonal`), and the ranks over Z, Q and F_p and the torsion over Z
+are read off its diagonal.  The kernel reduces the block's transpose, whose
+rows are the block's columns as given; the transpose has the same rank and
+invariant factors.  It has one pivot step, which clears the pivot's column
+by row operations and then reduces the pivot row mod the pivot, and two
+pivot choices: a sweep over the ±1 entries first, then entries of least
+absolute value on what is left.  The blocks of each j go in increasing h,
+and block (h+1, j) is reduced without the columns that the unit sweep of
+block (h, j) pivoted on ("clearing", after Chen and Kerber, *Persistent
+homology computation with a twist*, 2011): each such column becomes a cycle
+in a unimodular change of basis, since d² = 0, which `FreeComplex.check_d2`
+checks on every complex.  Only unit-sweep pivots clear; see `homology`.
+`rank_over_field` is an independent dense eliminator kept as the tests'
+reference.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -259,6 +259,8 @@ def eliminate(C: Complex) -> Complex:
             if _invertible_entry(g, src[c], tgt[r]) is not None:
                 queue.append((h, r, c))
 
+    if not queue:  # nothing to cancel
+        return C
     while queue:
         h, pr, pc = queue.popleft()
         rows_h, cols_h = rows[h], cols[h]
@@ -326,25 +328,25 @@ def eliminate(C: Complex) -> Complex:
 class FreeComplex:
     """Cochain complex of free abelian groups with a (h, j) bigrading.
 
-    basis[h] is a list of quantum degrees j, one per generator.  mats[h]
-    maps degree h to h+1 by columns, {col: {row: coeff}}, with global
-    indices into basis[h] and basis[h+1] and no zero entries; the dicts are
-    taken as given, not copied, and no reader changes them.  `homology`
-    hands each column to `smith_diagonal` as a row of the transpose.
-    Differentials preserve j.
+    basis[h] is a list of quantum degrees j, one per generator.
+    blocks[(h, j)] is d_h on the generators of bidegree (h, j), by columns
+    {col: {row: coeff}} with no zero entries, in local indices: a
+    generator's position among those of its degree h and its j.  Its
+    producers reject an entry that changes j.  The dicts are taken as
+    given, not copied, and no reader changes them.
     """
 
-    def __init__(self, basis: dict[int, list[int]], mats: dict[int, dict[int, dict[int, int]]]):
+    def __init__(self, basis: dict[int, list[int]], blocks: dict[tuple[int, int], dict[int, dict[int, int]]]):
         self.basis = {h: list(b) for h, b in basis.items() if b}
-        self.mats = {h: m for h, m in mats.items() if m}
+        self.blocks = {hj: m for hj, m in blocks.items() if m}
         self.check_d2()
 
     def check_d2(self):
-        """Every entry of every d_{h+1}·d_h, one column at a time: column c
-        of the product is the sum of the columns k of d_{h+1}, weighted by
-        d_h[k, c]."""
-        for h, m in self.mats.items():
-            nxt = self.mats.get(h + 1)
+        """Every entry of every d_{h+1}·d_h, block by block (d preserves j)
+        and one column at a time: column c of the product is the sum of the
+        columns k of d_{h+1}, weighted by d_h[k, c]."""
+        for (h, j), m in self.blocks.items():
+            nxt = self.blocks.get((h + 1, j))
             if not nxt:
                 continue
             for col in m.values():
@@ -356,15 +358,29 @@ class FreeComplex:
                     raise ValueError(f"d^2 != 0 in free complex at degree {h}")
 
 
+def local_indices(degs: list[int], seen: dict[int, int]) -> list[int]:
+    """Each generator's index among those of its quantum degree j, counted
+    on from seen[j], the number before degs; seen is updated."""
+    out = []
+    for j in degs:
+        k = seen[j] = seen.get(j, -1) + 1
+        out.append(k)
+    return out
+
+
 def free_complex(C: Complex) -> FreeComplex:
     """C over H_0, where P_{}{t} is one generator of degree t and an entry
-    {0: k} is the integer k."""
-    mats: dict[int, dict[int, dict[int, int]]] = {}
+    {0: k} is the integer k; ValueError on an entry that changes t."""
+    basis = {h: [s.qshift for s in t] for h, t in C.terms.items()}
+    local = {h: local_indices(b, {}) for h, b in basis.items()}
+    blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for h, d in C.diffs.items():
-        mat = mats[h] = {}
+        src, tgt, ls, lt = basis[h], basis[h + 1], local[h], local[h + 1]
         for (r, c), g in d.entries.items():
-            mat.setdefault(c, {})[r] = g[0]
-    return FreeComplex({h: [s.qshift for s in t] for h, t in C.terms.items()}, mats)
+            if tgt[r] != src[c]:
+                raise ValueError("differential does not preserve quantum degree")
+            blocks.setdefault((h, src[c]), {}).setdefault(ls[c], {})[lt[r]] = g[0]
+    return FreeComplex(basis, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +610,10 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
     """Homology of a free complex, per (i, j).
 
     coefficients: "Z" (ranks and torsion), "Q", or "Fp" for a prime p (ranks
-    only).  Each column of d_h goes once to the block of its bidegree
-    (h, j), its rows renumbered within the target block; a row outside it
-    raises ValueError.  Each block goes through `smith_diagonal` once.  Its
-    diagonal D gives the block's rank over Z and Q as len(D), over F_p as
-    the number of d in D with p not dividing d, and the torsion over Z in
-    degree h + 1 as the entries d > 1.
+    only).  Each (h, j) block goes through `smith_diagonal` once, as T
+    holds it; T is not changed.  Its diagonal D gives the block's rank over
+    Z and Q as len(D), over F_p as the number of d in D with p not dividing
+    d, and the torsion over Z in degree h + 1 as the entries d > 1.
 
     Clearing: the blocks of each j go in increasing h, and block (h+1, j)
     goes to `smith_diagonal` without the columns y_1, ..., y_m that the
@@ -615,37 +629,16 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
     operations on d_h and clear nothing.
     """
     p = coefficient_characteristic(coefficients)
-    # index[h][j][g]: generator g's index in its (h, j) block; len is the size
-    index: dict[int, dict[int, dict[int, int]]] = {}
-    for h, b in T.basis.items():
-        by_j = index[h] = {}
-        for g, j in enumerate(b):
-            idx = by_j.setdefault(j, {})
-            idx[g] = len(idx)
-
-    # each column of d_h goes to the block of its source bidegree, its rows
-    # renumbered by the target's block index for that j, which holds every
-    # row that preserves j and no other; blocks are made in increasing h
-    blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for h, mat in sorted(T.mats.items()):
-        src, tgt = T.basis[h], index.get(h + 1, {})
-        for c, col in mat.items():
-            j = src[c]
-            local = tgt.get(j, {})
-            try:
-                blocks.setdefault((h, j), {})[c] = {local[r]: v for r, v in col.items()}
-            except KeyError:
-                raise ValueError("differential does not preserve quantum degree") from None
-
     ranks: dict[tuple[int, int], int] = {}
     torsion: dict[tuple[int, int], tuple[int, ...]] = {}
-    for h, j in list(blocks):
-        diag, units = smith_diagonal(blocks.pop((h, j)))
-        nxt = blocks.get((h + 1, j))
-        if nxt:  # clearing: d_{h+1} loses the columns d_h's unit sweep pivoted on
-            gens = list(index[h + 1][j])
-            for y in units:
-                nxt.pop(gens[y], None)
+    cleared: dict[tuple[int, int], set[int]] = {}
+    for h, j in sorted(T.blocks):
+        block = T.blocks[(h, j)]
+        drop = cleared.pop((h, j), None)
+        if drop:  # clearing: d_h loses the columns d_{h-1}'s unit sweep pivoted on
+            block = {c: col for c, col in block.items() if c not in drop}
+        diag, units = smith_diagonal(block)
+        cleared[(h + 1, j)] = set(units)
         ranks[(h, j)] = sum(1 for d in diag if d % p) if p else len(diag)
         if coefficients == "Z":
             torsion[(h + 1, j)] = tuple(
@@ -653,7 +646,7 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
             )
 
     result: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    dims = {(h, j): len(idx) for h, by_j in index.items() for j, idx in by_j.items()}
+    dims = {(h, j): k for h, b in T.basis.items() for j, k in Counter(b).items()}
     for (h, j), dim in sorted(dims.items()):
         rank = dim - ranks.get((h, j), 0) - ranks.get((h - 1, j), 0)
         tors = torsion.get((h, j), ())

@@ -177,14 +177,22 @@ def _twisted(letters, C: Complex, caps=None, resolved: int | None = None) -> Com
 
 
 def idempotent_truncate(a: Matching, C: Complex) -> FreeComplex:
+    """Hom(P_a, C) as a free complex (`_truncate`)."""
+    return _truncate(a, C, {})
+
+
+def _truncate(a: Matching, C: Complex, capped: dict) -> FreeComplex:
     """Hom(P_a, C) as a free complex.  An arc (p, p+1) of a makes it
     cup_p(a'), and Hom(P_a, C) = Hom(P_a', cap_p C); so C is capped down to
-    H_0, reduced between caps, and read off (`homalg.free_complex`)."""
+    H_0, reduced between caps, and read off (`homalg.free_complex`);
+    capped[caps] is C after those caps, for every a whose caps begin so."""
+    caps = ()
     while a.n:
         p = next(p for p, q in a.pairs if q == p + 1)
-        a, C = cap_apply(p, a)[0], cap_functor(p, C)
-        if a.n:
-            C = eliminate(C)
+        a, caps = cap_apply(p, a)[0], caps + (p,)
+        if caps not in capped:
+            capped[caps] = eliminate(cap_functor(p, C)) if a.n else cap_functor(p, C)
+        C = capped[caps]
     return free_complex(C)
 
 
@@ -332,8 +340,8 @@ def verify_markov(b: BraidWord, seed: int = 0, coefficients: str = "Z") -> dict:
 
 def _all_truncated_homologies(n: int, P: Complex, letters) -> dict:
     """Raw homology of Hom(P_a, P twisted by the letters), for every a."""
-    C = _twisted(letters, P)
-    return {a: homology(idempotent_truncate(a, C), "Z") for a in enumerate_matchings(n)}
+    C, capped = _twisted(letters, P), {}
+    return {a: homology(_truncate(a, C, capped), "Z") for a in enumerate_matchings(n)}
 
 
 def verify_braid_relations(n: int) -> dict:

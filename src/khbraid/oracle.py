@@ -1,10 +1,11 @@
 """Cube-of-resolutions Khovanov homology: the classical construction.
 
 Deliberately independent of the arc-algebra pipeline -- the only shared
-code is the quantum degree of a label mask (``tqft.mask_qdeg``) and the
-homology routine -- so that the agreement of the two paths is a meaningful
-cross-check.  The Frobenius algebra V's merge and split are restated in
-`cube_complex`, so a fault in the arc path's V cannot hide from it.
+code is the quantum degree of a label mask (``tqft.mask_qdeg``) and
+`homalg`'s free complexes and homology -- so that the agreement of the two
+paths is a meaningful cross-check.  The Frobenius algebra V's merge and
+split are restated in `cube_complex`, so a fault in the arc path's V cannot
+hide from it.
 
 Diagrams are lists of crossings; each crossing is a 4-tuple of edge labels
 read counterclockwise from the incoming under-strand, plus its sign.  The
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .homalg import BigradedGroup, FreeComplex, homology
+from .homalg import BigradedGroup, FreeComplex, homology, local_indices
 from .tqft import mask_qdeg
 
 
@@ -242,17 +243,19 @@ def cube_complex(d: Diagram) -> FreeComplex:
     index its edges have in the target.  Each cube edge therefore works out
     once where every source bit goes -- a circle away from t to that index, a
     free loop up or down by the change in circle count, a circle through t
-    nowhere -- as ``moved``, the target row of each source generator with
+    nowhere -- as ``moved``, the target mask of each source generator with
     the circles through t left 1.  Each generator's column is made once per
     vertex, and each cube edge writes its one or two entries straight into
     it, by V's rules on the labels of the circles through t: a merge takes
     1·1 to 1, 1·x and x·1 to x, and x·x to 0; a split takes 1 to 1⊗x + x⊗1
-    and x to x⊗x.
+    and x to x⊗x.  Columns and rows are local indices, and each column goes
+    straight into its (h, j) block (`homalg.FreeComplex`); an entry whose
+    row is not of its column's j raises ValueError.
 
     V is restated here rather than read from ``tqft``'s ``mask_merge`` and
     ``mask_split``: one entry is then one dict write, and a fault in the arc
     path's V cannot hide from the arc==oracle cross-check.  Only
-    ``tqft.mask_qdeg`` and the homology kernel are shared.
+    ``tqft.mask_qdeg`` and `homalg`'s local indices and homology are shared.
 
     Edge signs are (-1)^{set bits below the flipped coordinate}.  Raises
     ValueError when flipping a crossing neither merges two circles nor
@@ -271,25 +274,28 @@ def cube_complex(d: Diagram) -> FreeComplex:
     walks = [_circle_walk(ends, mate, first, v) for v in range(1 << m)]
     ncirc = [len(least) for _circ, least in walks]
 
-    offset: list[int] = []
+    degs_at, local_at = [], []  # each vertex's generators: j and local index
     basis: dict[int, list[int]] = {}
+    seen: dict[int, dict[int, int]] = {}
     for v in range(1 << m):
         r = v.bit_count()
-        degs = basis.setdefault(r - nm, [])
-        offset.append(len(degs))
         nloops = ncirc[v] + loops
-        for mask in range(1 << nloops):
-            degs.append(mask_qdeg(mask, nloops) + r + np_ - 2 * nm)
+        degs = [mask_qdeg(mask, nloops) + r + np_ - 2 * nm for mask in range(1 << nloops)]
+        degs_at.append(degs)
+        local_at.append(local_indices(degs, seen.setdefault(r - nm, {})))
+        basis.setdefault(r - nm, []).extend(degs)
 
-    mats: dict[int, dict[int, dict[int, int]]] = {}
+    blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for v in range((1 << m) - 1):  # the last vertex has no outgoing edge
         src, least = walks[v]
-        cols: list[dict[int, int]] = [{} for _ in range(1 << (ncirc[v] + loops))]
+        jv = degs_at[v]
+        cols: list[dict[int, int]] = [{} for _ in jv]
         for t in range(m):
             if v >> t & 1:
                 continue
             w = v | 1 << t
             tgt = walks[w][0]
+            jw, lw = degs_at[w], local_at[w]
             at = ends[4 * t : 4 * t + 4]
             at_src = sorted({src[e] for e in at})
             at_tgt = sorted({tgt[e] for e in at})
@@ -299,7 +305,7 @@ def cube_complex(d: Diagram) -> FreeComplex:
             dest = [0 if k in at_src else 1 << tgt[least[k]] for k in range(ncirc[v])]
             shift = ncirc[w] - ncirc[v]
             dest += [1 << (k + shift) for k in range(ncirc[v], ncirc[v] + loops)]
-            moved = [offset[w]]  # moved[mask]: the row of mask, circles through t at 1
+            moved = [0]  # moved[mask]: the target mask of mask, circles through t at 1
             for bit in dest:
                 moved += [row + bit for row in moved]
             sign = -1 if (v & ((1 << t) - 1)).bit_count() % 2 else 1
@@ -308,22 +314,25 @@ def cube_complex(d: Diagram) -> FreeComplex:
                 for mask, row in enumerate(moved):
                     lab = mask & both
                     if lab != both:
-                        cols[mask][row + x if lab else row] = sign
+                        row += x if lab else 0
+                        if jw[row] != jv[mask]:
+                            raise ValueError("differential does not preserve quantum degree")
+                        cols[mask][lw[row]] = sign
             else:  # split
                 x, x1, x2 = 1 << at_src[0], 1 << at_tgt[0], 1 << at_tgt[1]
                 for mask, row in enumerate(moved):
-                    col = cols[mask]
                     if mask & x:
-                        col[row + x1 + x2] = sign
+                        r1 = r2 = row + x1 + x2
                     else:
-                        col[row + x1] = sign
-                        col[row + x2] = sign
-        mat = mats.setdefault(v.bit_count() - nm, {})
-        base = offset[v]
+                        r1, r2 = row + x1, row + x2
+                    if jw[r1] != jv[mask] or jw[r2] != jv[mask]:
+                        raise ValueError("differential does not preserve quantum degree")
+                    cols[mask][lw[r1]] = cols[mask][lw[r2]] = sign
+        h, lv = v.bit_count() - nm, local_at[v]
         for mask, col in enumerate(cols):
             if col:
-                mat[base + mask] = col
-    return FreeComplex(basis, mats)
+                blocks.setdefault((h, jv[mask]), {})[lv[mask]] = col
+    return FreeComplex(basis, blocks)
 
 
 def cube_homology(d: Diagram, coefficients: str = "Z") -> BigradedGroup:

@@ -16,6 +16,7 @@ from khbraid.homalg import (
     _prime_power_factors,
     coefficient_characteristic,
     eliminate,
+    free_complex,
     homology,
     is_chain_map,
     rank_over_field,
@@ -50,6 +51,30 @@ def by_col(entries):
     for (r, c), v in entries.items():
         cols.setdefault(c, {})[r] = v
     return cols
+
+
+def split(basis, mats):
+    """The free complex of degrees basis and differentials mats, given in
+    the global layout {h: {col: {row: v}}} with indices into basis[h] and
+    basis[h+1]: each column goes to its (h, j) block, its index and rows
+    renumbered within their blocks, and a row of another j raises
+    ValueError.  The reference for the producers' block-local columns."""
+    index = {}  # index[h][j][g]: generator g's index in its (h, j) block
+    for h, b in basis.items():
+        by_j = index[h] = {}
+        for g, j in enumerate(b):
+            idx = by_j.setdefault(j, {})
+            idx[g] = len(idx)
+    blocks = {}
+    for h, mat in sorted(mats.items()):
+        for c, col in mat.items():
+            j = basis[h][c]
+            local = index.get(h + 1, {}).get(j, {})
+            try:
+                blocks.setdefault((h, j), {})[index[h][j][c]] = {local[r]: v for r, v in col.items()}
+            except KeyError:
+                raise ValueError("differential does not preserve quantum degree") from None
+    return FreeComplex(basis, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +201,18 @@ def test_smith_torsion_against_determinantal_divisors():
 
 def test_homology_plain_groups():
     # zero differential on Z^2
-    T = FreeComplex({0: [0, 0]}, {})
+    T = split({0: [0, 0]}, {})
     H = homology(T)
     assert H.entries == {(0, 0): (2, ())}
     # Z --x2--> Z gives Z/2 in the target degree
-    T = FreeComplex({0: [0], 1: [0]}, {0: by_col({(0, 0): 2})})
+    T = split({0: [0], 1: [0]}, {0: by_col({(0, 0): 2})})
     H = homology(T)
     assert H.entries == {(1, 0): (0, (2,))}
 
 
 def test_homology_rejects_bad_differential():
     with pytest.raises(ValueError):
-        FreeComplex({0: [0], 1: [0], 2: [0]}, {0: by_col({(0, 0): 1}), 1: by_col({(0, 0): 1})})
+        split({0: [0], 1: [0], 2: [0]}, {0: by_col({(0, 0): 1}), 1: by_col({(0, 0): 1})})
 
 
 def test_check_d2_sums_within_a_column():
@@ -195,9 +220,9 @@ def test_check_d2_sums_within_a_column():
     # column of d1·d0, and d1 = (1, 1) leaves 2 there
     basis = {0: [0], 1: [0, 0], 2: [0]}
     d0 = by_col({(0, 0): 1, (1, 0): 1})
-    FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
+    split(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
     with pytest.raises(ValueError, match="d\\^2 != 0 in free complex at degree 0"):
-        FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): 1})})
+        split(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): 1})})
 
 
 def test_check_d2_reads_every_column():
@@ -206,20 +231,53 @@ def test_check_d2_reads_every_column():
     basis = {0: [0, 0], 1: [0, 0], 2: [0]}
     d0 = by_col({(0, 0): 1, (1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match="d\\^2 != 0 in free complex at degree 0"):
-        FreeComplex(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
+        split(basis, {0: d0, 1: by_col({(0, 0): 1, (0, 1): -1})})
+
+
+# differentials that change j: in the first column, in a later column, and
+# in a later row of a column
+J_CHANGING = [
+    ({0: [0], 1: [2]}, {0: {0: {0: 1}}}),
+    ({0: [2, 0], 1: [2]}, {0: by_col({(0, 0): 1, (0, 1): 1})}),
+    ({0: [0], 1: [0, 2]}, {0: by_col({(0, 0): 1, (1, 0): 1})}),
+]
 
 
 def test_homology_rejects_a_differential_that_changes_j():
-    T = FreeComplex({0: [0], 1: [2]}, {0: {0: {0: 1}}})
-    with pytest.raises(ValueError, match="does not preserve quantum degree"):
-        homology(T)
-    # every column is checked, not only the first, and every row of a column
-    for T in (
-        FreeComplex({0: [2, 0], 1: [2]}, {0: by_col({(0, 0): 1, (0, 1): 1})}),
-        FreeComplex({0: [0], 1: [0, 2]}, {0: by_col({(0, 0): 1, (1, 0): 1})}),
-    ):
+    # the reference split checks every column and every row of a column
+    for basis, mats in J_CHANGING:
         with pytest.raises(ValueError, match="does not preserve quantum degree"):
-            homology(T)
+            split(basis, mats)
+
+
+def over_h0(basis, mats):
+    """The complex over H_0 with one summand P_{}{j} per degree j of basis
+    and the integer entries of mats, in the global layout, as {0: v}."""
+    terms = {h: tuple(ProjSummand(horseshoe(0), j) for j in b) for h, b in basis.items()}
+    return Complex(terms, {
+        h: ModuleMap(terms[h], terms[h + 1], {(r, c): {0: v} for c, col in m.items() for r, v in col.items()})
+        for h, m in mats.items()
+    })
+
+
+def test_free_complex_rejects_an_entry_that_changes_j():
+    # the read-off checks every entry, in every column and every row
+    for basis, mats in J_CHANGING:
+        with pytest.raises(ValueError, match="does not preserve quantum degree"):
+            free_complex(over_h0(basis, mats))
+    # and writes each column into its block in local indices: the
+    # generators of degree 2 are 0 and 2 at h = 0, 1 and 2 at h = 1
+    basis = {0: [2, 0, 2], 1: [0, 2, 2], 2: [2]}
+    mats = {
+        0: by_col({(1, 0): 1, (2, 0): -1, (0, 1): 2, (1, 2): 2, (2, 2): -2}),
+        1: by_col({(0, 1): 1, (0, 2): 1}),
+    }
+    T = free_complex(over_h0(basis, mats))
+    assert T.basis == basis and T.blocks == split(basis, mats).blocks == {
+        (0, 2): {0: {0: 1, 1: -1}, 1: {0: 2, 1: -2}},
+        (0, 0): {0: {0: 2}},
+        (1, 2): {0: {0: 1}, 1: {0: 1}},
+    }
 
 
 def _universal_coefficient_cases():
@@ -234,7 +292,7 @@ def _universal_coefficient_cases():
             if rng.random() < 0.7
         }
         # force d1 . d0 = 0 by taking d1 = 0
-        yield FreeComplex(basis, {0: by_col({k: v for k, v in d0.items() if v})})
+        yield split(basis, {0: by_col({k: v for k, v in d0.items() if v})})
     # cube complexes: several quantum degrees, consecutive nonzero
     # differentials, and torsion
     rng = random.Random(12)
@@ -246,12 +304,7 @@ def _universal_coefficient_cases():
 def _dense_field_ranks(T, p):
     """dim - rank(d_in) - rank(d_out) per (h, j) block, by `rank_over_field`."""
     def block(h, j):
-        return {
-            (r, c): v
-            for c, col in T.mats.get(h, {}).items()
-            if T.basis[h][c] == j
-            for r, v in col.items()
-        }
+        return {(r, c): v for c, col in T.blocks.get((h, j), {}).items() for r, v in col.items()}
 
     ranks = {}
     for h, b in T.basis.items():
@@ -264,9 +317,9 @@ def _dense_field_ranks(T, p):
 
 def test_universal_coefficients_ranks():
     for T in _universal_coefficient_cases():
-        mats = {h: {c: dict(col) for c, col in m.items()} for h, m in T.mats.items()}
+        blocks = {hj: {c: dict(col) for c, col in m.items()} for hj, m in T.blocks.items()}
         HZ = homology(T, "Z")
-        assert T.mats == mats  # the Smith kernel works on copies
+        assert T.blocks == blocks  # the Smith kernel works on copies
         HQ = homology(T, "Q")
         for (h, j), (r, _t) in HQ.entries.items():
             assert HZ.entries.get((h, j), (0, ()))[0] == r
@@ -283,16 +336,26 @@ def test_universal_coefficients_ranks():
             assert {k: r for k, (r, _t) in H.entries.items()} == _dense_field_ranks(T, p)
 
 
+def test_homology_leaves_the_complex_unchanged():
+    # the kernel reduces copies and clearing filters a copy of the block, so
+    # Z then Q on one complex gives what each gives on a fresh one; the cube
+    # clears columns (see test_homology_clears_the_unit_sweep_targets)
+    build = lambda: cube_complex(braid_to_pd(BraidWord.from_ints(3, [1, -2, 1, -2, 1])))
+    T = build()
+    blocks = {hj: {c: dict(col) for c, col in m.items()} for hj, m in T.blocks.items()}
+    basis = {h: list(b) for h, b in T.basis.items()}
+    HZ, HQ = homology(T, "Z"), homology(T, "Q")
+    assert T.blocks == blocks and T.basis == basis
+    assert HZ.entries == homology(build(), "Z").entries
+    assert HQ.entries == homology(build(), "Q").entries
+
+
 def homology_without_clearing(T, coefficients="Z"):
     """`homology` with every (h, j) block of every d_h reduced whole by
     `smith_diagonal`: the reference that clearing must agree with."""
     p = coefficient_characteristic(coefficients)
-    blocks = {}
-    for h, mat in T.mats.items():
-        for c, col in mat.items():
-            blocks.setdefault((h, T.basis[h][c]), {})[c] = col
     ranks, torsion = {}, {}
-    for (h, j), block in blocks.items():
+    for (h, j), block in T.blocks.items():
         diag = smith_diagonal(block)[0]
         ranks[(h, j)] = sum(1 for d in diag if d % p) if p else len(diag)
         if coefficients == "Z":
@@ -389,7 +452,7 @@ def _known_answer_complex(rng):
                 if col:
                     mats[h][offset[h] + c] = col
     want = {c: {k: v for k, v in w.items() if v[0] or v[1]} for c, w in want.items()}
-    return FreeComplex(basis, mats), want
+    return split(basis, mats), want
 
 
 def test_homology_of_hidden_standard_forms():
@@ -417,7 +480,7 @@ def test_homology_clears_the_unit_sweep_targets(monkeypatch):
 
     monkeypatch.setattr(homalg, "smith_diagonal", counting)
     H = homology(T)
-    assert sum(seen) < sum(len(m) for m in T.mats.values())
+    assert sum(seen) < sum(len(m) for m in T.blocks.values())
     assert H == homology_without_clearing(T)
 
 
@@ -482,7 +545,7 @@ def table_truncate(a, C):
         mats[h] = {
             c: kept for c, col in mat.items() if (kept := {r: v for r, v in col.items() if v})
         }
-    return FreeComplex(basis, mats)
+    return split(basis, mats)
 
 
 def per_labeling_truncate(a, C):
@@ -510,7 +573,7 @@ def per_labeling_truncate(a, C):
         mats[h] = {
             c: kept for c, col in mat.items() if (kept := {r: v for r, v in col.items() if v})
         }
-    return FreeComplex(basis, mats)
+    return split(basis, mats)
 
 
 def test_truncation_matches_one_product_per_labeling():
@@ -530,8 +593,8 @@ def test_truncation_matches_one_product_per_labeling():
                     assert T.basis == want.basis
                     # columns and entries, and the order they were written in, agree
                     items = lambda F: [
-                        (h, [(c, list(col.items())) for c, col in m.items()])
-                        for h, m in F.mats.items()
+                        (hj, [(c, list(col.items())) for c, col in m.items()])
+                        for hj, m in F.blocks.items()
                     ]
                     assert items(T) == items(want)
             C = eliminate(C)

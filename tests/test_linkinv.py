@@ -23,7 +23,7 @@ from khbraid.linkinv import (
     verify_markov,
     verify_skein,
 )
-from khbraid.planar import horseshoe, matching
+from khbraid.planar import enumerate_matchings, horseshoe, matching
 from khbraid.tangle import cupcap_functor, twist
 
 UNKNOT = {(0, 1): (1, ()), (0, -1): (1, ())}
@@ -216,6 +216,28 @@ def test_braid_complex_is_valid():
     b = BraidWord.from_ints(2, [1, -1, 1])
     for caps in (None, _cap_plan(2, b.letters)):
         braid_complex(b, caps).validate()
+
+
+def test_suites_cap_a_shared_prefix_of_caps_once(monkeypatch):
+    # closing one complex at every matching, as the braid-relation and
+    # twist-inverse suites do, caps once per shared prefix of caps: fewer
+    # caps than one closure per matching from n = 3 on, and each matching's
+    # groups equal those of closing it alone
+    from khbraid import linkinv
+
+    rng = random.Random(23)
+    real, calls = linkinv.cap_functor, []
+    monkeypatch.setattr(linkinv, "cap_functor", lambda p, C: calls.append(p) or real(p, C))
+    for n in (2, 3, 4):
+        ms = enumerate_matchings(n)
+        for _ in range(2):
+            P = Complex.single(rng.choice(ms))
+            letters = [(rng.randint(1, 2 * n - 1), rng.choice((1, -1))) for _ in range(3)]
+            calls.clear()
+            shared = linkinv._all_truncated_homologies(n, P, letters)
+            assert len(calls) < n * len(ms) or n == 2
+            C = _twisted(letters, P)
+            assert shared == {a: homology(idempotent_truncate(a, C), "Z") for a in ms}
 
 
 def test_oracle_agreement_up_to_four_strands():

@@ -17,7 +17,7 @@ from khbraid.oracle import (
     parse_pd,
 )
 from khbraid.tqft import mask_merge, mask_qdeg, mask_split
-from test_homalg import homology_without_clearing
+from test_homalg import homology_without_clearing, split
 
 UNKNOT = {(0, 1): (1, ()), (0, -1): (1, ())}
 
@@ -177,7 +177,8 @@ def reference_vertex_circles(d: Diagram, labels: list[int], vertex: int) -> dict
 
 
 def reference_cube(d: Diagram) -> FreeComplex:
-    """cube_complex with every edge map run by tqft.mask_merge / mask_split.
+    """cube_complex with every edge map run by tqft.mask_merge / mask_split,
+    built in the global layout and split into (h, j) blocks by `split`.
 
     Each cube edge sends the source labels of circles away from t to their
     target bits and those of the circles through t to two scratch bits, with
@@ -232,7 +233,7 @@ def reference_cube(d: Diagram) -> FreeComplex:
             mat = mats.setdefault(v.bit_count() - nm, {})
             for key, c in terms.items():
                 mat.setdefault(offset[v] + (key >> col_at), {})[offset[w] + (key & (scratch - 1))] = c
-    return FreeComplex(basis, mats)
+    return split(basis, mats)
 
 
 PD_FIXTURES = [
@@ -270,7 +271,7 @@ def test_cube_matches_the_reference_built_through_tqft():
             continue
         got = cube_complex(d)
         assert got.basis == want.basis
-        assert got.mats == want.mats
+        assert got.blocks == want.blocks
         built += 1
         loops += d.free_loops > 0 and bool(d.crossings)
     assert built > 100 and refused > 100 and loops > 5
