@@ -8,8 +8,10 @@ and Bar-Natan's scanning, which runs cap_m right after the last
 sigma_{m-1}, on the conjugate that scans cheapest, down to H_1; it closes
 along horseshoe(1) (`idempotent_truncate`) and takes integer homology.
 `compute` and the skein suite's resolution, cup_i cap_i in place of one
-twist, share that path; the braid-relation and twist-inverse suites run
-the loop with no caps and close at every matching.
+twist, share that path, on a shorter word with the same closure
+(`_simplified`); `verify_markov` scans its moved words as given.  The
+braid-relation and twist-inverse suites run the loop with no caps and
+close at every matching.
 
 Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
 calibrated once on the unknot and trefoil against the cube oracle and
@@ -26,6 +28,7 @@ that single grading is k + n + w; the unknot sits at k = +-1).
 from __future__ import annotations
 
 import random
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
@@ -263,6 +266,40 @@ def _cheapest_conjugate(b: BraidWord, mark: int | None = None):
     return choice
 
 
+def _simplified(b: BraidWord, mark: int | None = None) -> tuple[BraidWord, int | None]:
+    """(s, at): a word with b's closure, and where b's letter mark, never
+    dropped, went.  Until neither applies: sigma_i^e cancels with the next
+    letter, read cyclically, within 1 of i, if it is sigma_i^-e (the mark
+    blocks as its sigma_i does); a lone letter at an end of the touched
+    strands goes with its end strand (Markov destabilisation).  A lap moves
+    each letter from the front to the back; one that cancels none is last."""
+    n, low, word = b.strands, 0, [(i, s, t == mark) for t, (i, s) in enumerate(b.letters)]
+    top = defaultdict(deque)  # top[i]: the positions of sigma_i's letters, in order
+    for t, (i, _s, _m) in enumerate(word):
+        top[i].append(t)
+    lap, cancelled = range(len(word)), True
+    while cancelled:
+        cancelled = False
+        for x in filter(None, map(word.__getitem__, lap)):  # word[t] is read as t comes
+            i, s, m = x
+            top[i].popleft()
+            p = max((top[g][-1] for g in (i - 1, i, i + 1) if top[g]), default=None)
+            if not m and p is not None and word[p] == (i, -s, False):
+                word[p], cancelled = None, True
+                top[i].pop()
+            else:
+                top[i].append(len(word))
+                word.append(x)
+        lap, live = range(lap.stop, len(word)), [i for i in top if top[i]]
+        for g in {min(live), max(live)} if live else ():
+            if len(top[g]) == 1 and not word[top[g][0]][2]:  # low counts the bottom strands gone
+                word[top[g].pop()], n, low, cancelled = None, n - 1, low + (g == min(live)), True
+                break
+    word = list(filter(None, word[lap.start :]))
+    return BraidWord(n, tuple((i - low, s) for i, s, _m in word)), next(
+        (t for t, x in enumerate(word) if x[2]), None)
+
+
 def braid_complex(b: BraidWord, caps, resolved: int | None = None) -> Complex:
     """The horseshoe's projective in H_n through b's letter loop
     (`_twisted`), with letter `resolved` resolved; a `_cap_plan` for caps
@@ -272,8 +309,8 @@ def braid_complex(b: BraidWord, caps, resolved: int | None = None) -> Complex:
 
 def _scanned_homology(b: BraidWord, coefficients: str, resolved: int | None = None) -> BigradedGroup:
     """Raw homology of the closure of b, with letter `resolved` resolved, by
-    the scan of the cheapest conjugate to H_1; each strand no letter touches
-    is an unknot: Kh(L + unknot) = Kh(L) (x) V."""
+    the scan of the cheapest conjugate of exactly b's letters to H_1; each
+    strand no letter touches is an unknot: Kh(L + unknot) = Kh(L) (x) V."""
     c, caps, at = _cheapest_conjugate(b, resolved)
     raw = homology(idempotent_truncate(horseshoe(1), braid_complex(c, caps, at)), coefficients)
     for _ in range(b.strands - c.strands):
@@ -281,15 +318,20 @@ def _scanned_homology(b: BraidWord, coefficients: str, resolved: int | None = No
     return raw
 
 
+def _offsets(b: BraidWord) -> tuple[int, int]:
+    """The shift from b's raw grading to Khovanov's (i, j)."""
+    return (b.positives * HOM_OFFSET_PER_POSITIVE,
+            b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+
+
 def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     """Khovanov homology of the closure of b, exact over Z by default.
 
-    coefficients: "Z", "Q", or "Fp" (e.g. "F2").  The scanned conjugate has
-    b's letter signs, so the offsets hold.
+    coefficients: "Z", "Q", or "Fp" (e.g. "F2").  The scan runs on a word
+    with b's closure (`_simplified`), graded by that word's offsets.
     """
-    bigraded = _scanned_homology(b, coefficients).shifted(
-        b.positives * HOM_OFFSET_PER_POSITIVE,
-        b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+    s, _ = _simplified(b)
+    bigraded = _scanned_homology(s, coefficients).shifted(*_offsets(s))
     shifts = {
         "homological": b.positives,
         "quantum": b.writhe,
@@ -303,20 +345,21 @@ def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
 
 
 def verify_markov(b: BraidWord, seed: int = 0, coefficients: str = "Z") -> dict:
-    """Recompute after conjugation and stabilization; groups must be equal."""
+    """Recompute after conjugation and stabilization, each moved word
+    scanned as given; groups must be equal."""
     base = compute(b, coefficients)
     rng = random.Random(seed)
     checks = []
 
     def check(name: str, other: BraidWord):
-        res = compute(other, coefficients)
-        ok = res.bigraded == base.bigraded
+        groups = _scanned_homology(other, coefficients).shifted(*_offsets(other))
+        ok = groups == base.bigraded
         checks.append(
             {
                 "move": name,
                 "word": other.format(),
                 "ok": ok,
-                "groups": res.bigraded.to_json() if not ok else None,
+                "groups": groups.to_json() if not ok else None,
             }
         )
 
@@ -424,10 +467,12 @@ def _complement_arc_v(b: BraidWord, c: int) -> int:
 
 def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[BigradedGroup, int]:
     """Groups of the unoriented resolution at letter c, in the absolute
-    (i, j) grading of the resolved diagram, plus the correction v."""
+    (i, j) grading of the resolved diagram, plus the correction v.  The
+    scan of `_simplified(b, c)` is shifted back to b's raw grading."""
     sign = b.letters[c][1]
     v = _complement_arc_v(b, c)
-    raw = _scanned_homology(b, coefficients, c)
+    s, at = _simplified(b, c)
+    raw = _scanned_homology(s, coefficients, at).shifted(*map(sub, _offsets(s), _offsets(b)))
     P, N = b.positives, b.negatives
     if sign == 1:
         di = (P - 1) - v

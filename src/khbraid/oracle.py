@@ -277,10 +277,10 @@ def cube_complex(d: Diagram) -> FreeComplex:
     degs_at, local_at = [], []  # each vertex's generators: j and local index
     basis: dict[int, list[int]] = {}
     seen: dict[int, dict[int, int]] = {}
+    qdegs = {c: [mask_qdeg(mask, c) for mask in range(1 << c)] for c in {k + loops for k in ncirc}}
     for v in range(1 << m):
         r = v.bit_count()
-        nloops = ncirc[v] + loops
-        degs = [mask_qdeg(mask, nloops) + r + np_ - 2 * nm for mask in range(1 << nloops)]
+        degs = [q + r + np_ - 2 * nm for q in qdegs[ncirc[v] + loops]]
         degs_at.append(degs)
         local_at.append(local_indices(degs, seen.setdefault(r - nm, {})))
         basis.setdefault(r - nm, []).extend(degs)

@@ -1,7 +1,9 @@
 import json
 import random
+import time
 from functools import lru_cache
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -15,7 +17,9 @@ from khbraid.linkinv import (
     _cap_plan,
     _cheapest_conjugate,
     _complement_arc_v,
+    _offsets,
     _scanned_homology,
+    _simplified,
     _twisted,
     braid_complex,
     compute,
@@ -38,6 +42,13 @@ RIGHT_TREFOIL = {
 
 def groups(b, coeffs="Z"):
     return compute(BraidWord.from_ints(*b) if isinstance(b, tuple) else b, coeffs).bigraded
+
+
+def as_given(b, coeffs="Z"):
+    """The groups of b's closure by the scan of exactly b's letters: unlike
+    `compute`, no cancelling pair or lone end letter is dropped first."""
+    b = BraidWord.from_ints(*b) if isinstance(b, tuple) else b
+    return _scanned_homology(b, coeffs).shifted(*_offsets(b))
 
 
 def closed_groups(b, C):
@@ -89,6 +100,9 @@ def test_unknots():
     assert groups((2, [1])).entries == UNKNOT
     assert groups((2, [-1])).entries == UNKNOT
     assert groups((3, [1, 2])).entries == UNKNOT
+    # compute drops those letters; scanned as given, they still give the unknot
+    for b in ((2, [1]), (2, [-1]), (3, [1, 2])):
+        assert as_given(b).entries == UNKNOT, b
 
 
 def test_unlink():
@@ -189,11 +203,133 @@ def test_markov_trefoil_and_unknot():
     assert a == groups((3, [1, 1, 1, 2])) == groups((3, [1, 1, 1, -2]))
     # unknot as empty word in Br_1 vs sigma_1^{+-1} in Br_2
     assert groups((1, [])) == groups((2, [1])) == groups((2, [-1]))
+    # compute destabilises the larger words first; scanned as given, the
+    # stabilising letter and its offsets are in the run
+    assert a == as_given((3, [1, 1, 1, 2])) == as_given((3, [1, 1, 1, -2]))
+    assert groups((1, [])) == as_given((2, [1])) == as_given((2, [-1]))
 
 
 def test_markov_conjugation():
     b = BraidWord.from_ints(3, [1, -2, 1])
     assert groups(b) == groups(b.conjugate(1)) == groups(b.conjugate(2))
+    assert groups(b) == as_given(b.conjugate(1)) == as_given(b.conjugate(2))
+
+
+def simplified(n, word, mark=None):
+    """_simplified's word as (strands, letters as signed ints), and the
+    position of the mark."""
+    s, at = _simplified(BraidWord.from_ints(n, word), mark)
+    return s.strands, [i * e for i, e in s.letters], at
+
+
+def rotations(word):
+    return [word[r:] + word[:r] for r in range(len(word))] or [word]
+
+
+def test_simplified_cancels_a_pair_across_commuting_letters_only():
+    # sigma_3 commutes with sigma_1, so 1 3 -1 cancels to 3; the ends are
+    # each crossed twice or more, so no strand goes (the sigma_1s and
+    # sigma_3s may come back in another order: they commute)
+    n, word, _ = simplified(4, [1, 1, 3, 3, 1, 3, -1])
+    assert n == 4 and sorted(word) == [1, 1, 3, 3, 3]
+    # sigma_2 does not commute with sigma_1: 1 2 -1 stays
+    n, word, _ = simplified(4, [1, 1, 3, 3, 1, 2, -1, 2])
+    assert n == 4 and word in rotations([1, 1, 3, 3, 1, 2, -1, 2])
+
+
+def test_simplified_cancels_across_the_seam():
+    # the last letter's next letter, read cyclically, is the first
+    n, word, _ = simplified(4, [-1, 3, 3, 2, 2, 3, 1])
+    assert n == 4 and word in rotations([3, 3, 2, 2, 3])
+
+
+def test_simplified_destabilises_lone_end_letters():
+    assert simplified(3, [1, 1, 1, 2])[:2] == (2, [1, 1, 1])  # top
+    assert simplified(3, [2, 2, -1, 2])[:2] == (2, [1, 1, 1])  # bottom, renumbered
+    # again and again: sigma_4, then sigma_3, then sigma_1 is alone
+    assert simplified(5, [2, 2, 2, 3, 4, 1])[:2] == (2, [1, 1, 1])
+    # a dropped end letter frees a pair: 1 2 -1 3 goes to 1 -1, then to nothing
+    assert simplified(4, [1, 2, -1, 3])[:2] == (2, [])
+    # strands no letter touches stay, and a lone end letter of the rest goes
+    assert simplified(6, [2, 2, 3, 3, 4])[:2] == (5, [2, 2, 3, 3])
+
+
+def test_simplified_reaches_the_empty_word_on_k_strands():
+    assert simplified(5, [1, 3, -1, -3, 2, -2, 4, 4, -4, -4]) == (5, [], None)
+    assert simplified(2, [1, -1]) == (2, [], None)
+    assert simplified(1, []) == (1, [], None)
+
+
+def test_simplified_keeps_and_tracks_the_mark():
+    # unmarked, 1 1 -1 -1 cancels away; with letter 1 marked, the pair
+    # (1, 2) cannot go and letter 0 is blocked by the mark, as a sigma_1
+    # blocks it; letter 3 still meets letter 0 across the seam
+    assert simplified(2, [1, 1, -1, -1])[:2] == (2, [])
+    n, word, at = simplified(2, [1, 1, -1, -1], 1)
+    assert n == 2 and word in rotations([1, -1]) and word[at] == 1
+    # a lone end letter that is marked stays, with its strand
+    n, word, at = simplified(3, [1, 1, 1, 2], 3)
+    assert n == 3 and word in rotations([1, 1, 1, 2]) and word[at] == 2
+    # the mark, letter 9, is followed through cancellation, a lone sigma_4,
+    # the seam and a lone sigma_2 with the renumbering, and it blocks the
+    # last pair; unmarked, the word goes to nothing
+    word = [4, 2, -1, 1, 2, 3, 3, -3, 2, -3, -2, -2]
+    assert simplified(5, word)[:2] == (3, [])
+    n, word, at = simplified(5, word, 9)
+    assert n == 3 and word in rotations([2, -2]) and word[at] == -2
+
+
+def test_simplified_keeps_the_closure():
+    # pairs planted across commuting letters, conjugations and
+    # stabilisations; compute (which simplifies) equals the scan of the
+    # word as given, with and without a resolved letter, and the scanned
+    # word is never longer and never has more strands
+    rng = random.Random(24)
+    shorter = fewer = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 3)):
+            move = rng.randrange(3)
+            if move == 0:  # sigma_i^e, letters 2 or more away, sigma_i^-e
+                i, e, p = rng.randint(1, n - 1), rng.choice((1, -1)), rng.randint(0, len(word))
+                far = [j for j in range(1, n) if abs(j - i) >= 2]
+                between = [rng.choice((1, -1)) * rng.choice(far) for _ in range(rng.randint(0, 2))] if far else []
+                word = word[:p] + [e * i] + between + [-e * i] + word[p:]
+            elif move == 1:  # conjugation
+                g = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                word = [g] + word + [-g]
+            elif n < 7:  # stabilisation at the top or the bottom
+                e = rng.choice((1, -1))
+                if rng.random() < 0.5:
+                    word, n = word + [e * n], n + 1
+                else:
+                    word, n = [e] + [x + (1 if x > 0 else -1) for x in word], n + 1
+        b = BraidWord.from_ints(n, word)
+        s, _ = _simplified(b)
+        assert len(s) <= len(b) and s.strands <= b.strands
+        shorter += len(s) < len(b)
+        fewer += s.strands < b.strands
+        assert groups(b) == as_given(b), word
+        c = rng.randrange(len(b))
+        s, at = _simplified(b, c)
+        assert s.letters[at][1] == b.letters[c][1]
+        back = _scanned_homology(s, "Z", at).shifted(*map(sub, _offsets(s), _offsets(b)))
+        assert back == _scanned_homology(b, "Z", c), (word, c)
+    assert shorter and fewer
+
+
+def test_simplified_runs_a_long_word_fast():
+    rng = random.Random(2000)
+    word = [rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(1500)]
+    for _ in range(250):  # planted pairs, some across commuting letters
+        i, p = rng.randint(1, 7), rng.randint(0, len(word))
+        word[p:p] = [i, 5 if i < 3 else 1, -i] if rng.random() < 0.5 else [i, -i]
+    b = BraidWord.from_ints(8, word[:2000])
+    t0 = time.perf_counter()
+    s, _ = _simplified(b)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(s) < len(b)
 
 
 def test_complement_arc_v_single_crossing():
@@ -332,12 +468,15 @@ def test_wide_braids():
     assert times_v(unknot, 1).entries == {(0, 2): (1, ()), (0, 0): (2, ()), (0, -2): (1, ())}
     for k in (12, 16):
         assert groups((k, list(range(1, k)))).entries == UNKNOT
+        # compute destabilises U_k down to one strand; as given, it scans wide
+        assert as_given((k, list(range(1, k)))).entries == UNKNOT
     small = groups((3, [1, -2, 1]))
     for k in (6, 16):
         assert groups((k, [1, -2, 1])) == times_v(small, k - 3)
     assert groups((5, [])) == times_v(unknot, 4)
     # strands 4-14 lie inside the letters' range but no letter touches them
     assert groups((16, [1, -2, 1, 15])) == times_v(groups((5, [1, -2, 1, 4])), 11)
+    assert as_given((16, [1, -2, 1, 15])) == times_v(as_given((5, [1, -2, 1, 4])), 11)
     # the skein triangle's three links all scan
     assert verify_skein(BraidWord.from_ints(12, list(range(1, 12))), 5)["ok"]
 

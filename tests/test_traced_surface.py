@@ -31,11 +31,11 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
     undo = tracing.install(tr, kh)
     try:
         assert all(getattr(owner, attr) is not orig for owner, attr, orig in undo)
-        assert kh.cli.main(["compute", "--braid", "1 -1", "-n", "2"]) == 0
+        assert kh.cli.main(["compute", "--braid", "1 1", "-n", "2"]) == 0
     finally:
         tracing.uninstall(undo)
     assert all(getattr(owner, attr) is orig for owner, attr, orig in undo)
-    assert json.loads(capsys.readouterr().out)["link"] == "n=2 1 -1"
+    assert json.loads(capsys.readouterr().out)["link"] == "n=2 1 1"
 
     _self_s, _incl_s, calls = tracing.self_times(tr.spans, tr.folded)
     assert calls["linkinv.compute"] == 1
@@ -89,7 +89,7 @@ def test_traced_caches_expose_cache_info(capsys):
     for _mod, _attr, cache in caches:
         cache.cache_clear()
     cli = importlib.import_module("khbraid.cli")
-    assert cli.main(["compute", "--braid", "1 -1", "-n", "2"]) == 0
+    assert cli.main(["compute", "--braid", "1 1", "-n", "2"]) == 0
     capsys.readouterr()
     for mod, attr, cache in caches:
         info = cache.cache_info()
