@@ -16,7 +16,7 @@ circles a saddle touches; `_execute` runs every schedule on labelings.  The
 product of two basis labelings is computed by running the schedule on that
 one pair the first time it is asked for, and read from the table after
 that; a product of combinations adds up table entries (`_add_products`,
-which `multiply`, the module maps of `khbraid.homalg` and the scan of all
+which `multiply`, `khbraid.homalg`'s `compose` and `eliminate`, and the scan of all
 basis products `_basis_products` call).  The scan is the one loop behind arc-dump's
 `multiplication_table` and `verify_positivity`.  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
@@ -237,7 +237,7 @@ def _add_products(
     """Add k * (b*a) into acc, for a in (u, v) and b in (v, w) given by
     their {mask: coeff} terms and ``schedule`` = _mult_schedule(u, v, w).
     A product mask m adds under the key offset | m: offset is 0, or in
-    `khbraid.homalg.ModuleMap.compose` an entry's index above bit 32.
+    `khbraid.homalg.compose` an entry's index above bit 32.
 
     The one reader of a schedule's basis-product table: a product missing
     from it is computed by running the schedule on that pair, and stored.

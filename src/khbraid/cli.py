@@ -159,7 +159,7 @@ def _diff_table(a: BigradedGroup, b: BigradedGroup) -> list[dict]:
     for key in sorted(set(a.entries) | set(b.entries)):
         ra, ta = a.entries.get(key, (0, ()))
         rb, tb = b.entries.get(key, (0, ()))
-        if (ra, tuple(sorted(ta))) != (rb, tuple(sorted(tb))):
+        if (ra, ta) != (rb, tb):
             out.append(
                 {
                     "i": key[0],

@@ -4,8 +4,12 @@ Conventions, fixed once:
 
 * P_w is the projective with block column Hom(P_w', P_w) = labelings of
   circles(w', w); a map P_a -> P_b is an element g of block (a, b) acting by
-  post-composition m -> g·m.  A `ModuleMap` entry holds only g's
-  {mask: coeff} terms: the summands it connects fix its block.
+  post-composition m -> g·m.
+* A map between direct sums of projectives (a differential d_h from
+  terms[h] to terms[h+1], or a chain map's f_h from C.terms[h] to
+  D.terms[h]) is the dict {(r, c): {mask: coeff}} of its nonzero entries;
+  entry (r, c) holds only g's terms, for g in the block that summands c and
+  r fix.  Absent keys are zero.
 * The quantum degree of m in a summand P_b{t} is qdeg(m) + t, so a map
   P_a{s} -> P_b{t} is quantum-degree 0 exactly when every labeling of its
   entry has qdeg = n + s - t.  Differentials must be quantum-degree 0.
@@ -63,75 +67,57 @@ class ProjSummand:
         return f"P[{self.matching}]{{{self.qshift}}}"
 
 
-class ModuleMap:
-    """Matrix of block elements between direct sums of projectives.
+def compose(
+    f: dict[tuple[int, int], dict[int, int]],
+    g: dict[tuple[int, int], dict[int, int]],
+    tgt: tuple[ProjSummand, ...],
+    mid: tuple[ProjSummand, ...],
+    src: tuple[ProjSummand, ...],
+) -> dict[tuple[int, int], dict[int, int]]:
+    """f after g, for g: src -> mid and f: mid -> tgt (matrix product via
+    the surgery product).
 
-    entries[(r, c)] is the {mask: coeff} dict, with no zero coefficient, of
-    an element of the block (source[c].matching, target[r].matching), which
-    the entry does not repeat.  Absent keys are zero; the constructor drops
-    empty entries, and `Complex.validate` checks each one against its block.
+    Every product adds into one dict under (r * len(src) + c) << 32 | mask,
+    for the entry (r, c) and a mask of its block, which has one bit per
+    circle: at most n, and `cli.MAX_STRANDS` = 16 <= 32.  Only nonzero sums
+    are unpacked into entries.
     """
-
-    __slots__ = ("source", "target", "entries")
-
-    def __init__(
-        self,
-        source: tuple[ProjSummand, ...],
-        target: tuple[ProjSummand, ...],
-        entries: dict[tuple[int, int], dict[int, int]] | None = None,
-    ):
-        self.source = tuple(source)
-        self.target = tuple(target)
-        self.entries = {rc: terms for rc, terms in (entries or {}).items() if terms}
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (matrix product via the surgery product).
-
-        Every product adds into one dict under (r * len(source) + c) << 32
-        | mask, for the entry (r, c) and a mask of its block, which has one
-        bit per circle: at most n, and `cli.MAX_STRANDS` = 16 <= 32.  Only
-        nonzero sums are unpacked into entries.
-        """
-        if other.target != self.source:
-            raise ValueError("compose: mismatched middles")
-        src, mid, tgt = other.source, self.source, self.target
-        ns = len(src)
-        by_row: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        for (r, k), f in self.entries.items():
-            by_row.setdefault(k, []).append((r, f))
-        acc: dict[int, int] = {}
-        for (k, c), g in other.entries.items():
-            u, v = src[c].matching, mid[k].matching
-            for r, f in by_row.get(k, ()):
-                _add_products(acc, _mult_schedule(u, v, tgt[r].matching), g, f, 1, (r * ns + c) << 32)
-        entries: dict[tuple[int, int], dict[int, int]] = {}
-        for key, x in acc.items():
-            if x:
-                entries.setdefault(divmod(key >> 32, ns), {})[key & 0xFFFFFFFF] = x
-        return ModuleMap(src, tgt, entries)
+    ns = len(src)
+    by_row: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for (r, k), a in f.items():
+        by_row.setdefault(k, []).append((r, a))
+    acc: dict[int, int] = {}
+    for (k, c), b in g.items():
+        u, v = src[c].matching, mid[k].matching
+        for r, a in by_row.get(k, ()):
+            _add_products(acc, _mult_schedule(u, v, tgt[r].matching), b, a, 1, (r * ns + c) << 32)
+    entries: dict[tuple[int, int], dict[int, int]] = {}
+    for key, x in acc.items():
+        if x:
+            entries.setdefault(divmod(key >> 32, ns), {})[key & 0xFFFFFFFF] = x
+    return entries
 
 
 class Complex:
     """Bounded cochain complex of projective summands; d_h goes h -> h+1.
 
-    Built unchecked: `validate` is the check, and `cone` runs it."""
+    diffs[h] is the entry dict of d_h from terms[h] to terms[h+1].  Built
+    unchecked: `validate` is the check, and `cone` runs it."""
 
     __slots__ = ("terms", "diffs")
 
-    def __init__(self, terms: dict[int, tuple[ProjSummand, ...]], diffs: dict[int, ModuleMap]):
+    def __init__(self, terms: dict[int, tuple[ProjSummand, ...]], diffs: dict[int, dict]):
         self.terms = {h: tuple(t) for h, t in terms.items() if t}
-        self.diffs = {}
-        for h, d in diffs.items():
-            if h in self.terms and h + 1 in self.terms and d.entries:
-                self.diffs[h] = d
+        self.diffs = {h: d for h, d in diffs.items() if d and h in self.terms and h + 1 in self.terms}
 
     def validate(self):
-        """Shapes, every entry in its block with qdeg 0, d^2 = 0; else ValueError."""
+        """Every entry nonempty and in its block with qdeg 0, d^2 = 0; else ValueError."""
         for h, d in self.diffs.items():
-            if d.source != self.terms[h] or d.target != self.terms.get(h + 1, ()):
-                raise ValueError(f"differential at {h} has wrong shape")
-            for (r, c), terms in d.entries.items():
-                s, t = d.source[c], d.target[r]
+            src, tgt = self.terms[h], self.terms[h + 1]
+            for (r, c), terms in d.items():
+                if not terms:
+                    raise ValueError(f"differential at {h}: entry ({r},{c}) is empty")
+                s, t = src[c], tgt[r]
                 k = circles(s.matching, t.matching).c
                 want = s.matching.n + s.qshift - t.qshift
                 for m, v in terms.items():
@@ -139,71 +125,55 @@ class Complex:
                         raise ValueError(f"differential at {h}: entry ({r},{c}) has a zero or a mask outside its block")
                     if mask_qdeg(m, k) != want:
                         raise ValueError(f"differential at {h} is not quantum-degree 0")
-        for h in self.diffs:
+        for h, d in self.diffs.items():
             if h + 1 in self.diffs:
-                if self.diffs[h + 1].compose(self.diffs[h]).entries:
+                if compose(self.diffs[h + 1], d, self.terms[h + 2], self.terms[h + 1], self.terms[h]):
                     raise ValueError(f"d^2 != 0 between degrees {h} and {h+2}")
 
     def summands(self, h: int) -> tuple[ProjSummand, ...]:
         return self.terms.get(h, ())
-
-    def differential(self, h: int) -> ModuleMap:
-        if h in self.diffs:
-            return self.diffs[h]
-        return ModuleMap(self.terms.get(h, ()), self.terms.get(h + 1, ()))
-
-    def size(self) -> int:
-        return sum(len(t) for t in self.terms.values())
 
     @classmethod
     def single(cls, w: Matching, qshift: int = 0) -> "Complex":
         return cls({0: (ProjSummand(w, qshift),)}, {})
 
 
-def is_chain_map(f: dict[int, ModuleMap], C: Complex, D: Complex) -> bool:
+def is_chain_map(f: dict[int, dict], C: Complex, D: Complex) -> bool:
     """f_h: C_h -> D_h commuting with differentials."""
     for h in set(C.terms) | set(D.terms):
-        fh = f.get(h)
-        fh1 = f.get(h + 1)
-        lhs = fh1.compose(C.differential(h)).entries if fh1 else {}
-        rhs = D.differential(h).compose(fh).entries if fh else {}
-        if lhs != rhs:  # entries hold no zeros, so equal maps have equal dicts
+        src, tgt = C.summands(h), D.summands(h + 1)
+        lhs = compose(f.get(h + 1, {}), C.diffs.get(h, {}), tgt, C.summands(h + 1), src)
+        rhs = compose(D.diffs.get(h, {}), f.get(h, {}), tgt, D.summands(h), src)
+        if lhs != rhs:  # compose keeps no zeros, so equal maps have equal dicts
             return False
     return True
 
 
-def cone(f: dict[int, ModuleMap], C: Complex, D: Complex) -> "Complex":
+def cone(f: dict[int, dict], C: Complex, D: Complex) -> "Complex":
     """Mapping cone of a degree-0 chain map f: C -> D.
 
     Terms C^{h+1} (+) D^h, differential [[-d_C, 0], [f, d_D]].  The only
     off-diagonal block of its square is f d_C - d_D f, so the d^2 check of
     the cone (ValueError) rejects an f that is not a chain map; the same
-    `Complex.validate` rejects an entry of f, d_C or d_D that is not
+    `Complex.validate` rejects an entry of f, d_C or d_D that is empty, not
     quantum-degree 0 or not an element of its block, and a d_C or d_D whose
     square is not zero.  `unit_map`, `counit_map`, `cupcap_functor` and
     `eliminate` do not check what they build, so for a twist this is the
     one check per letter, and a bad unit or counit raises its ValueError.
     """
-    degrees = set()
-    for h in C.terms:
-        degrees.add(h - 1)
+    degrees = {h - 1 for h in C.terms}
     degrees.update(D.terms)
-    terms: dict[int, tuple[ProjSummand, ...]] = {}
-    for h in degrees:
-        terms[h] = C.summands(h + 1) + D.summands(h)
-    diffs: dict[int, ModuleMap] = {}
+    terms = {h: C.summands(h + 1) + D.summands(h) for h in degrees}
+    diffs: dict[int, dict] = {}
     for h in sorted(degrees):
         if h + 1 not in terms:
             continue
-        nc = len(C.summands(h + 1))
-        entries: dict[tuple[int, int], dict[int, int]] = {}
-        for (r, c), g in C.differential(h + 1).entries.items():
-            entries[(r, c)] = {m: -v for m, v in g.items()}
-        for (r, c), g in (f[h + 1].entries if h + 1 in f else {}).items():
-            entries[(len(C.summands(h + 2)) + r, c)] = g
-        for (r, c), g in D.differential(h).entries.items():
-            entries[(len(C.summands(h + 2)) + r, nc + c)] = g
-        diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
+        nc, nr = len(C.summands(h + 1)), len(C.summands(h + 2))
+        entries = diffs[h] = {rc: {m: -v for m, v in g.items()} for rc, g in C.diffs.get(h + 1, {}).items()}
+        for (r, c), g in f.get(h + 1, {}).items():
+            entries[(nr + r, c)] = g
+        for (r, c), g in D.diffs.get(h, {}).items():
+            entries[(nr + r, nc + c)] = g
     K = Complex(terms, diffs)
     K.validate()
     return K
@@ -253,7 +223,7 @@ def eliminate(C: Complex) -> Complex:
     for h, d in C.diffs.items():
         rows_h, cols_h = rows[h], cols[h] = {}, {}
         src, tgt = terms[h], terms[h + 1]
-        for (r, c), g in d.entries.items():
+        for (r, c), g in d.items():
             rows_h.setdefault(r, {})[c] = g
             cols_h.setdefault(c, set()).add(r)
             if _invertible_entry(g, src[c], tgt[r]) is not None:
@@ -316,8 +286,7 @@ def eliminate(C: Complex) -> Complex:
     new_diffs = {}
     for h, rows_h in rows.items():
         ri, ci = index[h + 1], index[h]
-        entries = {(ri[r], ci[c]): g for r, row in rows_h.items() for c, g in row.items()}
-        new_diffs[h] = ModuleMap(new_terms[h], new_terms[h + 1], entries)
+        new_diffs[h] = {(ri[r], ci[c]): g for r, row in rows_h.items() for c, g in row.items()}
     return Complex(new_terms, new_diffs)
 
 
@@ -376,7 +345,7 @@ def free_complex(C: Complex) -> FreeComplex:
     blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for h, d in C.diffs.items():
         src, tgt, ls, lt = basis[h], basis[h + 1], local[h], local[h + 1]
-        for (r, c), g in d.entries.items():
+        for (r, c), g in d.items():
             if tgt[r] != src[c]:
                 raise ValueError("differential does not preserve quantum degree")
             blocks.setdefault((h, src[c]), {}).setdefault(ls[c], {})[lt[r]] = g[0]
@@ -547,9 +516,15 @@ def _prime_power_factors(d: int) -> list[int]:
 
 @dataclass
 class BigradedGroup:
-    """Ranks and torsion indexed by (homological i, quantum j)."""
+    """Ranks and torsion indexed by (homological i, quantum j).
+
+    Held in one normal form, so equal groups have equal entries: each
+    torsion tuple sorted, and no cell with neither rank nor torsion."""
 
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
+
+    def __post_init__(self):
+        self.entries = {k: (r, tuple(sorted(t))) for k, (r, t) in self.entries.items() if r or t}
 
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), (0, ()))[0]
@@ -557,14 +532,11 @@ class BigradedGroup:
     def torsion(self, i: int, j: int) -> tuple[int, ...]:
         return self.entries.get((i, j), (0, ()))[1]
 
-    def total_rank(self) -> int:
-        return sum(r for r, _t in self.entries.values())
-
     def __add__(self, other: "BigradedGroup") -> "BigradedGroup":
         """The direct sum."""
         out = dict(self.entries)
         for k, (r, t) in other.entries.items():
-            out[k] = (self.rank(*k) + r, tuple(sorted(self.torsion(*k) + t)))
+            out[k] = (self.rank(*k) + r, self.torsion(*k) + t)
         return BigradedGroup(out)
 
     def shifted(self, di: int, dj: int) -> "BigradedGroup":
@@ -579,16 +551,6 @@ class BigradedGroup:
     @classmethod
     def from_json(cls, data: list[dict]) -> "BigradedGroup":
         return cls({(d["i"], d["j"]): (d["rank"], tuple(d["torsion"])) for d in data})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BigradedGroup) and self._norm() == other._norm()
-
-    def _norm(self):
-        return {
-            k: (r, tuple(sorted(t)))
-            for k, (r, t) in self.entries.items()
-            if r or t
-        }
 
 
 def coefficient_characteristic(coefficients: str) -> int:
@@ -641,15 +603,10 @@ def homology(T: FreeComplex, coefficients: str = "Z") -> BigradedGroup:
         cleared[(h + 1, j)] = set(units)
         ranks[(h, j)] = sum(1 for d in diag if d % p) if p else len(diag)
         if coefficients == "Z":
-            torsion[(h + 1, j)] = tuple(
-                sorted(q for d in diag if d > 1 for q in _prime_power_factors(d))
-            )
+            torsion[(h + 1, j)] = tuple(q for d in diag if d > 1 for q in _prime_power_factors(d))
 
-    result: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     dims = {(h, j): k for h, b in T.basis.items() for j, k in Counter(b).items()}
-    for (h, j), dim in sorted(dims.items()):
-        rank = dim - ranks.get((h, j), 0) - ranks.get((h - 1, j), 0)
-        tors = torsion.get((h, j), ())
-        if rank or tors:
-            result[(h, j)] = (rank, tors)
-    return BigradedGroup(result)
+    return BigradedGroup({
+        (h, j): (dim - ranks.get((h, j), 0) - ranks.get((h - 1, j), 0), torsion.get((h, j), ()))
+        for (h, j), dim in sorted(dims.items())
+    })

@@ -114,9 +114,6 @@ class BraidWord:
         body = " ".join(str(i * s) for i, s in self.letters)
         return f"n={self.strands}" + (f" {body}" if body else "")
 
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple((i, -s) for i, s in self.letters))
-
     def conjugate(self, g: int) -> "BraidWord":
         """sigma_g . word . sigma_g^{-1}"""
         return BraidWord(self.strands, ((g, 1),) + self.letters + ((g, -1),))

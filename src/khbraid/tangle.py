@@ -30,9 +30,10 @@ element v_i into or out of the other summand; on other summands it is the
 minimal-degree generator of the codimension-one block.  All coefficients
 are +1.  `cupcap_functor` applies their grading shift, {+1} or {-1}.
 
-Entries are {mask: coeff} dicts, whose blocks their summands fix, so the
-identity and the minimal generator are both {0: 1}.  Nothing here checks
-what it builds; the twist's cone validates it.
+A differential or a chain map f_h is an entry dict {(r, c): {mask: coeff}}
+between the summands of its degrees (`homalg`); an entry's summands fix its
+block, so the identity and the minimal generator are both {0: 1}.  Nothing
+here checks what it builds; the twist's cone validates it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .planar import Matching, cap_apply, circles, cup_insert, cupcap_through
+from .planar import Matching, cap_apply, circles, cupcap_through
+from .planar import cup_insert  # kept: perfbench/tracer.py patches tangle.cup_insert
 from .arcalg import _execute, _surgery_schedule
-from .homalg import Complex, ModuleMap, ProjSummand, cone
+from .homalg import Complex, ProjSummand, cone
 from .homalg import is_chain_map  # kept: perfbench/tracer.py patches tangle.is_chain_map
 
 
@@ -55,12 +57,13 @@ def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, ...]:
     """Circle k of C(u, v) -> its index in the cup-inserted diagram, whose
     one other circle is the new small one through i, i+1.
 
+    Circles are ordered by least point, and the cup moves the points from i
+    up by 2, so the small circle (least point i) comes right after the
+    circles whose least point is below i.
+
     Cached: u, v have n-1 arcs and 1 <= i <= 2n-1, so at most
     (2n-1)*C_{n-1}^2 entries for each n reached."""
-    cu, cv = cup_insert(i, u), cup_insert(i, v)
-    big = circles(cu, cv)
-    shift = lambda p: p if p < i else p + 2
-    return tuple(big.circle_of(shift(circ[0])) for circ in circles(u, v).circles)
+    return tuple(k + (circ[0] >= i) for k, circ in enumerate(circles(u, v).circles))
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +167,14 @@ def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> tuple[Complex, dic
             images[h].append({u: len(flat) + k for k, (_t, u) in enumerate(shifts)})
             flat.extend(ProjSummand(image, shift) for shift, _u in shifts)
         terms[h] = tuple(flat)
-    diffs: dict[int, ModuleMap] = {}
+    diffs: dict[int, dict] = {}
     for h, d in C.diffs.items():
-        entries: dict[tuple[int, int], dict[int, int]] = {}
-        for (r, c), g in d.entries.items():
+        entries = diffs[h] = {}
+        for (r, c), g in d.items():
             src, tgt = images[h][c], images[h + 1][r]
             a, b = C.terms[h][c].matching, C.terms[h + 1][r].matching
             for (u, v), gg in _transformed_components(i, a, b, g, cup).items():
                 entries[(tgt[v], src[u])] = gg
-        diffs[h] = ModuleMap(terms[h], terms[h + 1], entries)
     layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
     return Complex(terms, diffs), layout
 
@@ -191,17 +193,18 @@ def cap_functor(i: int, C: Complex) -> Complex:
 # unit and counit
 
 
-def _adjunction_map(i: int, sign: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
+def _adjunction_map(i: int, sign: int, C: Complex) -> tuple[dict[int, dict], Complex]:
     """The unit C -> (cup_i cap_i C){1} for sign +1, the counit
-    (cup_i cap_i C){-1} -> C for sign -1, and that functor image.
+    (cup_i cap_i C){-1} -> C for sign -1, and that functor image.  f[h] is
+    the entry dict from the map's source's terms[h] to its target's.
 
     Unchecked: the d^2 check of its cone is the one chain-map check per
     letter, so a bad map raises ValueError from `cone`.
     """
     D, layout = cupcap_functor(i, C, sign)
-    f: dict[int, ModuleMap] = {}
+    f: dict[int, dict] = {}
     for h, summands in C.terms.items():
-        entries: dict[tuple[int, int], dict[int, int]] = {}
+        entries = f[h] = {}
         for k, s in enumerate(summands):
             one, *x = layout[h][k]  # the 1 and x summands, or the one image
             if x:  # the identity into x (unit) or out of 1 (counit), v_i on the other
@@ -212,17 +215,15 @@ def _adjunction_map(i: int, sign: int, C: Complex) -> tuple[dict[int, ModuleMap]
                 pairs = ((one, {0: 1}),)  # the minimal generator
             for pos, g in pairs:
                 entries[(pos, k) if sign == 1 else (k, pos)] = g
-        ends = (C.terms[h], D.terms[h]) if sign == 1 else (D.terms[h], C.terms[h])
-        f[h] = ModuleMap(*ends, entries)
     return f, D
 
 
-def unit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
+def unit_map(i: int, C: Complex) -> tuple[dict[int, dict], Complex]:
     """The chain map C -> (cup_i cap_i C){1} and its target."""
     return _adjunction_map(i, 1, C)
 
 
-def counit_map(i: int, C: Complex) -> tuple[dict[int, ModuleMap], Complex]:
+def counit_map(i: int, C: Complex) -> tuple[dict[int, dict], Complex]:
     """The chain map (cup_i cap_i C){-1} -> C and its source."""
     return _adjunction_map(i, -1, C)
 

@@ -41,6 +41,7 @@ from khbraid.planar import (
 from khbraid.tqft import mask_qdeg
 from test_arcalg import block_basis
 from test_linkinv import as_given
+from test_homalg import total_rank
 from test_tangle import cup_entry
 
 
@@ -348,7 +349,7 @@ def test_criterion_7_performance_floor(capsys):
     t0 = time.time()
     res = compute(b, "Q")
     elapsed = time.time() - t0
-    ok = elapsed < 600 and res.bigraded.total_rank() > 0
+    ok = elapsed < 600 and total_rank(res.bigraded) > 0
     _report(
         capsys,
         f"CRITERION 7 ({_status(ok)}): length-8 word on 4 strands over Q with the "

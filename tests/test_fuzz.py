@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from khbraid.homalg import BigradedGroup, homology
 from khbraid.linkinv import BraidWord, _infinity_homology, compute
 from khbraid.oracle import braid_to_pd, cube_complex, cube_homology
-from test_linkinv import as_given
+from test_linkinv import as_given, mirror
 from test_oracle import braid_to_pd_resolved
 
 seeded = settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -56,7 +56,7 @@ def test_arc_equals_oracle_over_z_and_f2(b):
 def test_mirror_negates_both_degrees_over_q(b):
     H = compute(b, "Q").bigraded
     flipped = BigradedGroup({(-i, -j): v for (i, j), v in H.entries.items()})
-    assert compute(b.mirror(), "Q").bigraded == flipped, b.format()
+    assert compute(mirror(b), "Q").bigraded == flipped, b.format()
 
 
 @seeded

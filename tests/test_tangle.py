@@ -7,7 +7,6 @@ import khbraid.tangle as tangle
 from khbraid.arcalg import ArcCombination, _execute, idempotent, multiply
 from khbraid.homalg import (
     Complex,
-    ModuleMap,
     ProjSummand,
     eliminate,
     homology,
@@ -33,7 +32,7 @@ from khbraid.tangle import (
 from khbraid.linkinv import idempotent_truncate, verify_braid_relations, verify_twist_inverse
 from khbraid.tqft import mask_qdeg
 from test_arcalg import block_basis
-from test_homalg import entry
+from test_homalg import entry, total_rank
 
 
 def single(w, q=0):
@@ -59,6 +58,24 @@ def cup_entry(i: int, g: ArcCombination) -> ArcCombination:
         finals[kk] = k
     terms = _execute(dict(g.terms), (), finals)
     return ArcCombination(cup_insert(i, g.source), cup_insert(i, g.target), terms)
+
+
+def test_cup_circle_map_matches_the_cup_inserted_diagram():
+    # the map by its rule (circles ordered by least point, the new one at
+    # least point i) against the circles of the cup-inserted diagram, for
+    # every u, v of n <= 4 arcs and every i
+    cases = 0
+    for n in (1, 2, 3, 4):
+        ms = enumerate_matchings(n)
+        for u, v in itertools.product(ms, repeat=2):
+            for i in range(1, 2 * n + 2):
+                big = circles(cup_insert(i, u), cup_insert(i, v))
+                shift = lambda p: p if p < i else p + 2
+                want = tuple(big.circle_of(shift(circ[0])) for circ in circles(u, v).circles)
+                assert _cup_circle_map(i, u, v) == want, (i, u, v)
+                assert big.c == len(want) + 1
+                cases += 1
+    assert cases == 3 * 1 + 5 * 4 + 7 * 25 + 9 * 196
 
 
 def test_cup_functor_sends_idempotents_to_idempotents():
@@ -103,7 +120,7 @@ def test_cup_functor_image_of_a_twisted_complex_is_a_complex():
                 for h, t in C.terms.items()
             }
             diffs = {
-                h: ModuleMap(terms[h], terms[h + 1], {rc: cup_entry(i, entry(d, rc)).terms for rc in d.entries})
+                h: {rc: cup_entry(i, entry(d, rc, C.terms[h], C.terms[h + 1])).terms for rc in d}
                 for h, d in C.diffs.items()
             }
             D = Complex(terms, diffs)
@@ -268,13 +285,10 @@ def _mutants(f):
     """f with one entry dropped, then f with one coefficient negated, for
     every entry and every coefficient of f."""
     for h, fh in f.items():
-        for key in fh.entries:
-            g = entry(fh, key)
-            rest = {k: e for k, e in fh.entries.items() if k != key}
-            yield {**f, h: ModuleMap(fh.source, fh.target, rest)}
-            for m in g.terms:
-                flipped = ArcCombination(g.source, g.target, {**g.terms, m: -g.terms[m]})
-                yield {**f, h: ModuleMap(fh.source, fh.target, {**fh.entries, key: flipped.terms})}
+        for key, g in fh.items():
+            yield {**f, h: {k: e for k, e in fh.items() if k != key}}
+            for m in g:
+                yield {**f, h: {**fh, key: {**g, m: -g[m]}}}
 
 
 def _assert_twist_rejects_every_mutant(monkeypatch, name, sign):
@@ -337,10 +351,10 @@ def test_unit_counit_composite_is_center_multiplication():
     # E = cupcap(P){-1}, D = cupcap(P){+1}: compose entry-wise through the
     # common cupcap layout (two summands)
     comp = {}
-    for (r, c) in eta[0].entries:
-        g = entry(eta[0], (r, c))
-        for (r2, c2) in eps[0].entries:
-            h = entry(eps[0], (r2, c2))
+    for (r, c) in eta[0]:
+        g = entry(eta[0], (r, c), P.terms[0], D.terms[0])
+        for (r2, c2) in eps[0]:
+            h = entry(eps[0], (r2, c2), E.terms[0], P.terms[0])
             if c2 == r:
                 key = (r2, c)
                 term = multiply(h, g)
@@ -375,4 +389,4 @@ def test_unknot_calibration_from_single_twists():
     for s in (1, -1):
         T = twist(1, s, single(m2))
         H = hom_of(m2, T)
-        assert H.total_rank() == 2
+        assert total_rank(H) == 2

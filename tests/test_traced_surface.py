@@ -1,14 +1,22 @@
 """The benchmark's tracer (perfbench/tracer.py) patches khbraid functions by
 name at their import sites.  Installing it on the real modules fails here,
-in the unit tests, as soon as a traced name is renamed or deleted."""
+in the unit tests, as soon as a traced name is renamed or deleted.  A probe
+run of the benchmark's worker must also end on a result line that holds
+every per-layer metric the benchmark declares."""
 
 import importlib
 import importlib.util
 import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -94,3 +102,25 @@ def test_traced_caches_expose_cache_info(capsys):
     for mod, attr, cache in caches:
         info = cache.cache_info()
         assert info.hits + info.misses >= 1, (mod, attr, info)
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite number {constant} in the worker's result line")
+
+
+@pytest.mark.parametrize("command", ["compute", "compare"])
+def test_traced_probe_ends_on_a_result_line_with_every_layer_metric(command, tmp_path):
+    # the benchmark reads a traced run's last stdout line as strict JSON and
+    # takes every per-layer metric it declares from it: a traced name or a
+    # cache that goes, or a metric that is not finite, breaks that line
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--root", str(ROOT), "--mode", "probe",
+         "--workdir", str(tmp_path), "--probe", "n=3 1 -2 1 -2", "--command", command],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_refuse)
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    missing = [name for name in declared if name not in result["layer"]]
+    assert not missing
+    assert all(math.isfinite(result["layer"][name]) for name in declared)
