@@ -353,6 +353,24 @@ def test_skein_unknot_and_trefoil():
     assert rep["ok"], rep
 
 
+def test_skein_failure_reports_integer_euler_defects(monkeypatch):
+    # a Z shifted by (0, 2) breaks the triangle; each j's sequence then
+    # alternates to a nonzero integer defect, negative i included
+    from khbraid import linkinv
+
+    real = linkinv._infinity_homology
+
+    def shifted(b, c, coefficients):
+        Z, v = real(b, c, coefficients)
+        return Z.shifted(0, 2), v
+
+    monkeypatch.setattr(linkinv, "_infinity_homology", shifted)
+    rep = verify_skein(BraidWord.parse("n=2 -1 -1 -1"), 0, "Q")
+    assert not rep["ok"] and rep["rank_failures"]
+    assert rep["euler_failures"] == [{"j": -9, "defect": -1}, {"j": -5, "defect": 1}]
+    assert all(type(f["defect"]) is int for f in rep["euler_failures"])
+
+
 def test_braid_complex_is_valid():
     b = BraidWord.from_ints(2, [1, -1, 1])
     for caps in (None, _cap_plan(2, b.letters)):

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from khbraid.homalg import FreeComplex, homology
-from khbraid.linkinv import BraidWord, _infinity_homology
+from khbraid.linkinv import BraidWord, _complement_arc_v, _infinity_homology
 from khbraid.oracle import (
     Crossing,
     Diagram,
@@ -418,6 +419,22 @@ def test_resolved_diagram_matches_pipeline_infinity_term():
         d, v2 = braid_to_pd_resolved(b, c)
         assert v1 == v2
         assert Z1 == cube_homology(d, "Z")
+
+
+def test_arc_walk_v_matches_the_union_find_referee_exhaustively():
+    # linkinv walks the arc up the closure; the referee takes the union-find
+    # component of the top-left corner.  Every word of 1-5 letters on 3
+    # strands and 1-4 letters on 4 strands, at every crossing
+    cases = 0
+    for n, longest in ((3, 5), (4, 4)):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(1, longest + 1):
+            for ints in itertools.product(letters, repeat=length):
+                b = word(n, ints)
+                for c in range(length):
+                    assert _complement_arc_v(b, c) == braid_to_pd_resolved(b, c)[1], (n, ints, c)
+                    cases += 1
+    assert cases == 12282
 
 
 def test_decategorified_skein_relation():
