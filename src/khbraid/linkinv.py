@@ -15,10 +15,12 @@ close at every matching.
 
 Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
 calibrated once on the unknot and trefoil against the cube oracle and
-frozen here:
+frozen here, in one place (`_scanned_homology`) for every scanned closure:
 
     i = h + (number of positive letters)
     j = j_raw + writhe
+
+A resolved letter is scanned at shift 0 and adds no offset.
 
 The collapsed grading k = i - j is the single grading carried natively by
 the Hom-complex pipeline, up to the n + w shift (the absolute degree of
@@ -167,10 +169,10 @@ class InvariantResult:
 
 def _twisted(letters, C: Complex, caps=None, resolved: int | None = None) -> Complex:
     """C after one twist per letter (generator index, sign), or at letter
-    resolved its unoriented resolution (cup_i cap_i C){sign}, reduced after
-    every letter and after each cap in caps[t], run after letter t."""
+    resolved its unoriented resolution cup_i cap_i C, unshifted, reduced
+    after every letter and after each cap in caps[t], run after letter t."""
     for t, (i, s) in enumerate(letters):
-        C = eliminate(cupcap_functor(i, C, s)[0] if t == resolved else twist(i, s, C))
+        C = eliminate(cupcap_functor(i, C, 0)[0] if t == resolved else twist(i, s, C))
         for m in caps[t] if caps else ():
             C = eliminate(cap_functor(m, C))
     return C
@@ -305,14 +307,15 @@ def braid_complex(b: BraidWord, caps, resolved: int | None = None) -> Complex:
 
 
 def _scanned_homology(b: BraidWord, coefficients: str, resolved: int | None = None) -> BigradedGroup:
-    """Raw homology of the closure of b, with letter `resolved` resolved, by
-    the scan of the cheapest conjugate of exactly b's letters to H_1; each
-    strand no letter touches is an unknot: Kh(L + unknot) = Kh(L) (x) V."""
+    """Homology of the closure of b, with letter `resolved` resolved, by the
+    scan of the cheapest conjugate of exactly b's letters to H_1, graded by
+    the `_offsets` of b's other letters; each strand no letter touches is an
+    unknot: Kh(L + unknot) = Kh(L) (x) V."""
     c, caps, at = _cheapest_conjugate(b, resolved)
     raw = homology(idempotent_truncate(horseshoe(1), braid_complex(c, caps, at)), coefficients)
     for _ in range(b.strands - c.strands):
         raw = raw.shifted(0, 1) + raw.shifted(0, -1)
-    return raw
+    return raw.shifted(*_offsets(b if resolved is None else b.without_letter(resolved)))
 
 
 def _offsets(b: BraidWord) -> tuple[int, int]:
@@ -328,7 +331,7 @@ def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     with b's closure (`_simplified`), graded by that word's offsets.
     """
     s, _ = _simplified(b)
-    bigraded = _scanned_homology(s, coefficients).shifted(*_offsets(s))
+    bigraded = _scanned_homology(s, coefficients)
     shifts = {
         "homological": b.positives,
         "quantum": b.writhe,
@@ -348,7 +351,7 @@ def verify_markov(b: BraidWord, coefficients: str = "Z") -> dict:
     checks = []
 
     def check(name: str, other: BraidWord):
-        groups = _scanned_homology(other, coefficients).shifted(*_offsets(other))
+        groups = _scanned_homology(other, coefficients)
         ok = groups == base.bigraded
         checks.append(
             {
@@ -445,20 +448,11 @@ def _complement_arc_v(b: BraidWord, c: int) -> int:
 
 def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[BigradedGroup, int]:
     """Groups of the unoriented resolution at letter c, in the absolute
-    (i, j) grading of the resolved diagram, plus the correction v.  The
-    scan of `_simplified(b, c)` is shifted back to b's raw grading."""
-    sign = b.letters[c][1]
+    (i, j) grading of the resolved diagram, plus the correction v: the
+    graded scan of `_simplified(b, c)` shifted by (-v, -3v)."""
     v = _complement_arc_v(b, c)
     s, at = _simplified(b, c)
-    raw = _scanned_homology(s, coefficients, at).shifted(*map(sub, _offsets(s), _offsets(b)))
-    P, N = b.positives, b.negatives
-    if sign == 1:
-        di = (P - 1) - v
-        dj = (P - 1) - N - 3 * v - 1
-    else:
-        di = P - v
-        dj = P - N - 3 * v + 2
-    return raw.shifted(di, dj), v
+    return _scanned_homology(s, coefficients, at).shifted(-v, -3 * v), v
 
 
 def verify_skein(b: BraidWord, crossing: int, coefficients: str = "Q") -> dict:

@@ -12,15 +12,6 @@ Quantum degree: 1 has +1, x has -1, so a labeling has c - 2 * (number of x).
 from __future__ import annotations
 
 
-def sdeg(n: int, c: int, p: int) -> int:
-    """Cohomological degree of a block generator: (n - c) + 2p.
-
-    This is the grading in which the arc algebra product is additive; a
-    block between matchings with c common circles lives in n-c <= * <= n+c.
-    """
-    return (n - c) + 2 * p
-
-
 def mask_merge(terms: dict[int, int], bit_a: int, bit_b: int, bit_dst: int) -> dict[int, int]:
     """Merge circles bit_a, bit_b of every term into bit_dst (x*x kills)."""
     out: dict[int, int] = {}

@@ -22,7 +22,8 @@ from khbraid.arcalg import (
     verify_positivity,
 )
 from khbraid.planar import circles, codim, enumerate_matchings, matching, mixed, plait
-from khbraid.tqft import mask_qdeg, sdeg
+from khbraid.tqft import mask_qdeg
+from test_tqft import sdeg
 
 
 def block_basis(u, v):

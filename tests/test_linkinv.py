@@ -3,7 +3,6 @@ import random
 import time
 from functools import lru_cache
 from math import comb
-from operator import sub
 
 import pytest
 
@@ -17,6 +16,7 @@ from khbraid.linkinv import (
     _cap_plan,
     _cheapest_conjugate,
     _complement_arc_v,
+    _infinity_homology,
     _offsets,
     _scanned_homology,
     _simplified,
@@ -53,7 +53,7 @@ def as_given(b, coeffs="Z"):
     """The groups of b's closure by the scan of exactly b's letters: unlike
     `compute`, no cancelling pair or lone end letter is dropped first."""
     b = BraidWord.from_ints(*b) if isinstance(b, tuple) else b
-    return _scanned_homology(b, coeffs).shifted(*_offsets(b))
+    return _scanned_homology(b, coeffs)
 
 
 def closed_groups(b, C):
@@ -319,9 +319,21 @@ def test_simplified_keeps_the_closure():
         c = rng.randrange(len(b))
         s, at = _simplified(b, c)
         assert s.letters[at][1] == b.letters[c][1]
-        back = _scanned_homology(s, "Z", at).shifted(*map(sub, _offsets(s), _offsets(b)))
-        assert back == _scanned_homology(b, "Z", c), (word, c)
+        assert _scanned_homology(s, "Z", at) == _scanned_homology(b, "Z", c), (word, c)
     assert shorter and fewer
+
+
+def test_resolution_does_not_depend_on_the_resolved_crossings_sign():
+    # cup_i cap_i replaces letter c whatever its sign: it scans at shift 0
+    # and only the other letters grade it
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        b = BraidWord.from_ints(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))])
+        for c, (i, s) in enumerate(b.letters):
+            flipped = BraidWord(n, b.letters[:c] + ((i, -s),) + b.letters[c + 1 :])
+            assert _scanned_homology(flipped, "Z", c) == _scanned_homology(b, "Z", c), (b.format(), c)
+            assert _infinity_homology(flipped, c, "Z") == _infinity_homology(b, c, "Z"), (b.format(), c)
 
 
 def test_simplified_runs_a_long_word_fast():
@@ -505,14 +517,14 @@ def test_wide_braids():
 
 
 def unscanned_resolution(b, c):
-    """The raw groups over Z of b's closure with letter c resolved, by the
-    build that scanning replaced: the letters before c twist in H_n, cup_i
-    cap_i resolves c, the rest twist, and the closure is along
-    horseshoe(n)."""
-    idx, sign = b.letters[c]
+    """The groups over Z of b's closure with letter c resolved, by the build
+    that scanning replaced: the letters before c twist in H_n, cup_i cap_i
+    resolves c at shift 0, the rest twist, and the closure is along
+    horseshoe(n); graded by the offsets of the letters other than c."""
     C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
-    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(idx, C, sign)[0]))
-    return homology(idempotent_truncate(horseshoe(b.strands), C), "Z")
+    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(b.letters[c][0], C, 0)[0]))
+    raw = homology(idempotent_truncate(horseshoe(b.strands), C), "Z")
+    return raw.shifted(*_offsets(b.without_letter(c)))
 
 
 def test_scanned_resolution_equals_the_unscanned_one_beyond_the_cube():

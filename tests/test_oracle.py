@@ -413,6 +413,9 @@ def test_resolved_diagram_matches_pipeline_infinity_term():
         (word(2, [1, 1, 1]), 1),
         (word(3, [1, -2, 1, -2]), 2),
         (word(3, [2, -2, -2, 1, -2]), 0),
+        # a negative letter resolved, with v = -2 and v = 2
+        (word(2, [-1, -1, -1]), 1),
+        (word(3, [1, -2, 1, -2]), 1),
     ]
     for b, c in cases:
         Z1, v1 = _infinity_homology(b, c, "Z")

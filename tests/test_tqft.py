@@ -5,10 +5,19 @@ circles below are single bits, so for two circles on bits 1 and 2 the
 mask 0b01 is x@1 (first circle x) and 0b10 is 1@x.
 """
 
-from khbraid.tqft import mask_merge, mask_qdeg, mask_split, sdeg
+from khbraid.tqft import mask_merge, mask_qdeg, mask_split
 
 # a (x) b for a, b in {1, x}: a on bit 1, b on bit 2
 PAIRS = (0b00, 0b01, 0b10, 0b11)
+
+
+def sdeg(n: int, c: int, p: int) -> int:
+    """Cohomological degree of a block generator: (n - c) + 2p.
+
+    This is the grading in which the arc algebra product is additive; a
+    block between matchings with c common circles lives in n-c <= * <= n+c.
+    """
+    return (n - c) + 2 * p
 
 
 def merge(mask: int) -> dict[int, int]:
