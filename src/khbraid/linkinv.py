@@ -7,20 +7,21 @@ mapping-cone twist per letter, Gaussian-elimination reduction after each,
 and Bar-Natan's scanning, which runs cap_m right after the last
 sigma_{m-1}, on the conjugate that scans cheapest, down to H_1; it closes
 along horseshoe(1) (`idempotent_truncate`) and takes integer homology.
-`compute` and the skein suite's resolution, cup_i cap_i in place of one
-twist, share that path, on a shorter word with the same closure
-(`_simplified`); `verify_markov` scans its moved words as given.  The
-braid-relation and twist-inverse suites run the loop with no caps and
-close at every matching.
+`compute` and the skein suite's resolution share that path, on a shorter
+word with the same closure (`_simplified`): a letter of sign 0 is a
+resolved crossing, cup_i cap_i at no shift in place of a twist.
+`verify_markov` scans its moved words as given.  The braid-relation and
+twist-inverse suites run the loop with no caps and close at every matching.
 
-Raw cone gradings are converted to Khovanov's (i, j) by per-letter offsets
-calibrated once on the unknot and trefoil against the cube oracle and
-frozen here, in one place (`_scanned_homology`) for every scanned closure:
+Raw cone gradings are converted to Khovanov's (i, j) by one rule
+(`_offsets`), calibrated once on the unknot and trefoil against the cube
+oracle and frozen, and applied by `_scanned_homology` to every scanned
+closure:
 
     i = h + (number of positive letters)
     j = j_raw + writhe
 
-A resolved letter is scanned at shift 0 and adds no offset.
+A letter of sign 0 counts in neither.
 
 The collapsed grading k = i - j is the single grading carried natively by
 the Hom-complex pipeline, up to the n + w shift (the absolute degree of
@@ -39,11 +40,6 @@ from operator import sub
 from .planar import Matching, cap_apply, cupcap_through, enumerate_matchings, horseshoe, parse_int
 from .homalg import BigradedGroup, Complex, FreeComplex, eliminate, free_complex, homology
 from .tangle import cap_functor, cupcap_functor, twist
-
-# frozen calibration: raw cone degrees -> Khovanov bigrading
-HOM_OFFSET_PER_POSITIVE = 1
-Q_OFFSET_PER_POSITIVE = 1
-Q_OFFSET_PER_NEGATIVE = -1
 
 
 @dataclass(frozen=True)
@@ -65,14 +61,6 @@ class BraidWord:
     @property
     def writhe(self) -> int:
         return sum(s for _i, s in self.letters)
-
-    @property
-    def positives(self) -> int:
-        return sum(1 for _i, s in self.letters if s == 1)
-
-    @property
-    def negatives(self) -> int:
-        return sum(1 for _i, s in self.letters if s == -1)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -167,12 +155,12 @@ class InvariantResult:
         }
 
 
-def _twisted(letters, C: Complex, caps=None, resolved: int | None = None) -> Complex:
-    """C after one twist per letter (generator index, sign), or at letter
-    resolved its unoriented resolution cup_i cap_i C, unshifted, reduced
-    after every letter and after each cap in caps[t], run after letter t."""
+def _twisted(letters, C: Complex, caps=None) -> Complex:
+    """C after each letter (generator index, sign): a twist, or for sign 0
+    the unoriented resolution cup_i cap_i C, unshifted; reduced after every
+    letter and after each cap in caps[t], run after letter t."""
     for t, (i, s) in enumerate(letters):
-        C = eliminate(cupcap_functor(i, C, 0)[0] if t == resolved else twist(i, s, C))
+        C = eliminate(twist(i, s, C) if s else cupcap_functor(i, C, 0)[0])
         for m in caps[t] if caps else ():
             C = eliminate(cap_functor(m, C))
     return C
@@ -215,17 +203,19 @@ def _cap_plan(strands: int, letters) -> list[list[int]]:
 def _scan_norm(strands: int, letters, caps, bound) -> int | None:
     """The sum over letters of the L1 norm of the scanned complex's class
     {(matching, power of q): coefficient} in K_0, or None once it reaches
-    bound.  A letter maps X to s(q^s E_i X - X), where E_i is cupcap_through
-    with a factor q + 1/q for a closed circle; so does a cap, as cap_apply."""
+    bound.  A letter maps X to s(q^s E_i X - X), and one of sign 0 to
+    E_i X, where E_i is cupcap_through with a factor q + 1/q for a closed
+    circle; so does a cap, as cap_apply."""
     state = {(horseshoe(strands), 0): 1}
     total = 0
     for (i, s), due in zip(letters, caps):
         nxt: dict[tuple[Matching, int], int] = {}
+        f, ends = s or 1, ((s,), (s + 1, s - 1))  # E_i's factor; its q-shifts by circles closed
         for (a, e), v in state.items():
             nxt[(a, e)] = nxt.get((a, e), 0) - s * v
             b, closed = cupcap_through(i, a)
-            for d in (s + 1, s - 1) if closed else (s,):
-                nxt[(b, e + d)] = nxt.get((b, e + d), 0) + s * v
+            for d in ends[closed]:
+                nxt[(b, e + d)] = nxt.get((b, e + d), 0) + f * v
         for m in due:
             state, nxt = nxt, {}
             for (a, e), v in state.items():
@@ -239,51 +229,52 @@ def _scan_norm(strands: int, letters, caps, bound) -> int | None:
     return total
 
 
-def _cheapest_conjugate(b: BraidWord, mark: int | None = None):
-    """(c, caps, position): b on the k strands its letters touch, renumbered
-    in order, as the conjugate c that scans cheapest, c's `_cap_plan`, and
-    the position to which c's rotation moved letter mark.  Of the L
-    rotations of the word, each with and without sigma_i -> sigma_{k-i},
-    the 6 with the least sum over letters of the Catalan number of the
-    level then open are scanned, and the least `_scan_norm` wins.  That norm
-    on all 2L, with its abort, chose 3-4x slower and won less back."""
-    rank = {p: r for r, p in enumerate(sorted({p for i, _s in b.letters for p in (i, i + 1)}), 1)}
+def _cheapest_conjugate(letters):
+    """(k, c, caps): the letters on the k strands they touch, renumbered in
+    order, as the conjugate c that scans cheapest, and c's `_cap_plan`.  Of
+    the L rotations of the word, each with and without sigma_i ->
+    sigma_{k-i}, the 6 with the least sum over letters of the Catalan
+    number of the level then open are scanned, and the least `_scan_norm`
+    wins.  That norm on all 2L, with its abort, chose 3-4x slower and won
+    less back."""
+    rank = {p: r for r, p in enumerate(sorted({p for i, _s in letters for p in (i, i + 1)}), 1)}
     k = len(rank) or 1
-    word = [(rank[i], s) for i, s in b.letters]
+    word = [(rank[i], s) for i, s in letters]
     ranked = []
     for w in (word, [(k - i, s) for i, s in word]):
         for r in range(len(w) or 1):
             v = w[r:] + w[:r]
             caps = _cap_plan(k, v)
             levels = accumulate((len(due) for due in caps[:-1]), sub, initial=k)
-            ranked.append((sum(comb(2 * m, m) // (m + 1) for m in levels), len(ranked), v, caps, r))
+            ranked.append((sum(comb(2 * m, m) // (m + 1) for m in levels), len(ranked), v, caps))
     best, choice = float("inf"), None
-    for _cost, _n, v, caps, r in sorted(ranked)[:6]:
+    for _cost, _n, v, caps in sorted(ranked)[:6]:
         norm = _scan_norm(k, v, caps, best)
         if norm is not None:
-            best, choice = norm, (BraidWord(k, tuple(v)), caps, None if mark is None else (mark - r) % len(v))
+            best, choice = norm, (k, v, caps)
     return choice
 
 
-def _simplified(b: BraidWord, mark: int | None = None) -> tuple[BraidWord, int | None]:
-    """(s, at): a word with b's closure, and where b's letter mark, never
-    dropped, went.  Until neither applies: sigma_i^e cancels with the next
-    letter, read cyclically, within 1 of i, if it is sigma_i^-e (the mark
-    blocks as its sigma_i does); a lone letter at an end of the touched
-    strands goes with its end strand (Markov destabilisation).  A lap moves
-    each letter from the front to the back; one that cancels none is last."""
-    n, low, word = b.strands, 0, [(i, s, t == mark) for t, (i, s) in enumerate(b.letters)]
+def _simplified(strands: int, letters) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(n, letters) with the closure of the given ones.  Until neither
+    applies: sigma_i^e cancels with the next letter, read cyclically, within
+    1 of i, if it is sigma_i^-e (a letter of sign 0, at most one a word,
+    never cancels and blocks as its sigma_i does); a lone letter of nonzero
+    sign at an end of the touched strands goes with its end strand (Markov
+    destabilisation).  A lap moves each letter from the front to the back;
+    one that cancels none is last."""
+    n, low, word = strands, 0, list(letters)
     top = defaultdict(deque)  # top[i]: the positions of sigma_i's letters, in order
-    for t, (i, _s, _m) in enumerate(word):
+    for t, (i, _s) in enumerate(word):
         top[i].append(t)
     lap, cancelled = range(len(word)), True
     while cancelled:
         cancelled = False
         for x in filter(None, map(word.__getitem__, lap)):  # word[t] is read as t comes
-            i, s, m = x
+            i, s = x
             top[i].popleft()
             p = max((top[g][-1] for g in (i - 1, i, i + 1) if top[g]), default=None)
-            if not m and p is not None and word[p] == (i, -s, False):
+            if p is not None and word[p] == (i, -s):
                 word[p], cancelled = None, True
                 top[i].pop()
             else:
@@ -291,37 +282,34 @@ def _simplified(b: BraidWord, mark: int | None = None) -> tuple[BraidWord, int |
                 word.append(x)
         lap, live = range(lap.stop, len(word)), [i for i in top if top[i]]
         for g in {min(live), max(live)} if live else ():
-            if len(top[g]) == 1 and not word[top[g][0]][2]:  # low counts the bottom strands gone
+            if len(top[g]) == 1 and word[top[g][0]][1]:  # low counts the bottom strands gone
                 word[top[g].pop()], n, low, cancelled = None, n - 1, low + (g == min(live)), True
                 break
-    word = list(filter(None, word[lap.start :]))
-    return BraidWord(n, tuple((i - low, s) for i, s, _m in word)), next(
-        (t for t, x in enumerate(word) if x[2]), None)
+    return n, tuple((i - low, s) for i, s in filter(None, word[lap.start :]))
 
 
-def braid_complex(b: BraidWord, caps, resolved: int | None = None) -> Complex:
-    """The horseshoe's projective in H_n through b's letter loop
-    (`_twisted`), with letter `resolved` resolved; a `_cap_plan` for caps
-    ends it in H_1."""
-    return _twisted(b.letters, Complex.single(horseshoe(b.strands)), caps, resolved)
+def braid_complex(strands: int, letters, caps) -> Complex:
+    """The horseshoe's projective in H_strands through the letter loop
+    (`_twisted`); a `_cap_plan` for caps ends it in H_1."""
+    return _twisted(letters, Complex.single(horseshoe(strands)), caps)
 
 
-def _scanned_homology(b: BraidWord, coefficients: str, resolved: int | None = None) -> BigradedGroup:
-    """Homology of the closure of b, with letter `resolved` resolved, by the
-    scan of the cheapest conjugate of exactly b's letters to H_1, graded by
-    the `_offsets` of b's other letters; each strand no letter touches is an
-    unknot: Kh(L + unknot) = Kh(L) (x) V."""
-    c, caps, at = _cheapest_conjugate(b, resolved)
-    raw = homology(idempotent_truncate(horseshoe(1), braid_complex(c, caps, at)), coefficients)
-    for _ in range(b.strands - c.strands):
+def _scanned_homology(strands: int, letters, coefficients: str) -> BigradedGroup:
+    """Homology of the closure of the letters on `strands` strands, by the
+    scan of the cheapest conjugate of exactly those letters to H_1, graded
+    by their `_offsets`; each strand no letter touches is an unknot:
+    Kh(L + unknot) = Kh(L) (x) V."""
+    k, c, caps = _cheapest_conjugate(letters)
+    raw = homology(idempotent_truncate(horseshoe(1), braid_complex(k, c, caps)), coefficients)
+    for _ in range(strands - k):
         raw = raw.shifted(0, 1) + raw.shifted(0, -1)
-    return raw.shifted(*_offsets(b if resolved is None else b.without_letter(resolved)))
+    return raw.shifted(*_offsets(letters))
 
 
-def _offsets(b: BraidWord) -> tuple[int, int]:
-    """The shift from b's raw grading to Khovanov's (i, j)."""
-    return (b.positives * HOM_OFFSET_PER_POSITIVE,
-            b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+def _offsets(letters) -> tuple[int, int]:
+    """The frozen grading rule: the shift from the letters' raw grading to
+    Khovanov's (i, j) is (number of positive letters, writhe)."""
+    return sum(s > 0 for _i, s in letters), sum(s for _i, s in letters)
 
 
 def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
@@ -330,12 +318,12 @@ def compute(b: BraidWord, coefficients: str = "Z") -> InvariantResult:
     coefficients: "Z", "Q", or "Fp" (e.g. "F2").  The scan runs on a word
     with b's closure (`_simplified`), graded by that word's offsets.
     """
-    s, _ = _simplified(b)
-    bigraded = _scanned_homology(s, coefficients)
+    bigraded = _scanned_homology(*_simplified(b.strands, b.letters), coefficients)
+    h, w = _offsets(b.letters)
     shifts = {
-        "homological": b.positives,
-        "quantum": b.writhe,
-        "collapsed_nw": b.strands + b.writhe,
+        "homological": h,
+        "quantum": w,
+        "collapsed_nw": b.strands + w,
     }
     return InvariantResult(b, coefficients, bigraded, shifts)
 
@@ -351,7 +339,7 @@ def verify_markov(b: BraidWord, coefficients: str = "Z") -> dict:
     checks = []
 
     def check(name: str, other: BraidWord):
-        groups = _scanned_homology(other, coefficients)
+        groups = _scanned_homology(other.strands, other.letters, coefficients)
         ok = groups == base.bigraded
         checks.append(
             {
@@ -449,10 +437,11 @@ def _complement_arc_v(b: BraidWord, c: int) -> int:
 def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[BigradedGroup, int]:
     """Groups of the unoriented resolution at letter c, in the absolute
     (i, j) grading of the resolved diagram, plus the correction v: the
-    graded scan of `_simplified(b, c)` shifted by (-v, -3v)."""
+    graded scan of b's letters, letter c's sign set to 0, after
+    `_simplified`, shifted by (-v, -3v)."""
     v = _complement_arc_v(b, c)
-    s, at = _simplified(b, c)
-    return _scanned_homology(s, coefficients, at).shifted(-v, -3 * v), v
+    letters = b.letters[:c] + ((b.letters[c][0], 0),) + b.letters[c + 1 :]
+    return _scanned_homology(*_simplified(b.strands, letters), coefficients).shifted(-v, -3 * v), v
 
 
 def verify_skein(b: BraidWord, crossing: int, coefficients: str = "Q") -> dict:

@@ -763,7 +763,8 @@ def test_eliminate_preserves_homology():
 def test_braid_complex_size_does_not_grow(word, bound):
     # sizes reached in H_n, with no caps, by the rescanning eliminator this
     # one replaced
-    assert size(braid_complex(BraidWord.parse(word), None)) <= bound
+    b = BraidWord.parse(word)
+    assert size(braid_complex(b.strands, b.letters, None)) <= bound
 
 
 def test_module_map_composition_is_matrix_product():

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import pytest
@@ -9,15 +10,13 @@ import pytest
 from khbraid.arcalg import _MULT_SCHEDULE_MAXSIZE, _mult_schedule
 from khbraid.homalg import BigradedGroup, Complex, eliminate, homology
 from khbraid.linkinv import (
-    HOM_OFFSET_PER_POSITIVE,
-    Q_OFFSET_PER_NEGATIVE,
-    Q_OFFSET_PER_POSITIVE,
     BraidWord,
     _cap_plan,
     _cheapest_conjugate,
     _complement_arc_v,
     _infinity_homology,
     _offsets,
+    _scan_norm,
     _scanned_homology,
     _simplified,
     _twisted,
@@ -45,6 +44,15 @@ def mirror(b):
     return BraidWord(b.strands, tuple((i, -s) for i, s in b.letters))
 
 
+def positives(b):
+    return sum(1 for _i, s in b.letters if s == 1)
+
+
+def resolved(b, c):
+    """b's letters with letter c resolved: its sign set to 0."""
+    return b.letters[:c] + ((b.letters[c][0], 0),) + b.letters[c + 1 :]
+
+
 def groups(b, coeffs="Z"):
     return compute(BraidWord.from_ints(*b) if isinstance(b, tuple) else b, coeffs).bigraded
 
@@ -53,23 +61,23 @@ def as_given(b, coeffs="Z"):
     """The groups of b's closure by the scan of exactly b's letters: unlike
     `compute`, no cancelling pair or lone end letter is dropped first."""
     b = BraidWord.from_ints(*b) if isinstance(b, tuple) else b
-    return _scanned_homology(b, coeffs)
+    return _scanned_homology(b.strands, b.letters, coeffs)
 
 
 def closed_groups(b, C):
     """Khovanov homology over Z of the closure of b from its complex C,
     closed along the horseshoe of C's level: H_n when C is b's word
-    twisted in H_n with no caps, H_1 when it is scanned."""
+    twisted in H_n with no caps, H_1 when it is scanned; graded by the
+    frozen rule, i = h + (positive letters) and j = j_raw + writhe."""
     level = next(iter(C.terms.values()))[0].matching.n
     raw = homology(idempotent_truncate(horseshoe(level), C), "Z")
-    return raw.shifted(b.positives * HOM_OFFSET_PER_POSITIVE,
-                       b.positives * Q_OFFSET_PER_POSITIVE + b.negatives * Q_OFFSET_PER_NEGATIVE)
+    return raw.shifted(positives(b), b.writhe)
 
 
 def unscanned_groups(b):
     """The reference that scanning replaced: b's whole word in H_n, closed
     along horseshoe(n)."""
-    return closed_groups(b, braid_complex(b, None))
+    return closed_groups(b, braid_complex(b.strands, b.letters, None))
 
 
 def test_horseshoe():
@@ -81,7 +89,8 @@ def test_horseshoe():
 def test_braidword_parsing_and_format():
     b = BraidWord.parse("n=2 1 1 1")
     assert b.strands == 2 and b.letters == ((1, 1), (1, 1), (1, 1))
-    assert b.writhe == 3 and b.positives == 3 and b.negatives == 0
+    assert b.writhe == 3 and _offsets(b.letters) == (3, 3)
+    assert _offsets(((1, 1), (2, 0), (1, -1), (2, -1))) == (1, -1)  # sign 0 counts in neither
     assert BraidWord.parse("1 -2", strands=3).letters == ((1, 1), (2, -1))
     assert BraidWord.parse("n=1") == BraidWord(1)
     assert b.format() == "n=2 1 1 1"
@@ -92,6 +101,8 @@ def test_braidword_parsing_and_format():
         BraidWord.parse("n=2 2")  # generator out of range
     with pytest.raises(ValueError):
         BraidWord.parse("n=2 0")
+    with pytest.raises(ValueError):
+        BraidWord(2, ((1, 0),))  # a resolved crossing is no braid letter
     # the header may repeat the given strand count but not contradict it
     assert BraidWord.parse("n=3 1 2", strands=3) == BraidWord.parse("1 2", strands=3)
     with pytest.raises(ValueError):
@@ -220,11 +231,10 @@ def test_markov_conjugation():
     assert groups(b) == as_given(b.conjugate(1)) == as_given(b.conjugate(2))
 
 
-def simplified(n, word, mark=None):
-    """_simplified's word as (strands, letters as signed ints), and the
-    position of the mark."""
-    s, at = _simplified(BraidWord.from_ints(n, word), mark)
-    return s.strands, [i * e for i, e in s.letters], at
+def simplified(n, word):
+    """_simplified's word as (strands, letters as signed ints)."""
+    n, letters = _simplified(n, BraidWord.from_ints(n, word).letters)
+    return n, [i * e for i, e in letters]
 
 
 def rotations(word):
@@ -235,53 +245,59 @@ def test_simplified_cancels_a_pair_across_commuting_letters_only():
     # sigma_3 commutes with sigma_1, so 1 3 -1 cancels to 3; the ends are
     # each crossed twice or more, so no strand goes (the sigma_1s and
     # sigma_3s may come back in another order: they commute)
-    n, word, _ = simplified(4, [1, 1, 3, 3, 1, 3, -1])
+    n, word = simplified(4, [1, 1, 3, 3, 1, 3, -1])
     assert n == 4 and sorted(word) == [1, 1, 3, 3, 3]
     # sigma_2 does not commute with sigma_1: 1 2 -1 stays
-    n, word, _ = simplified(4, [1, 1, 3, 3, 1, 2, -1, 2])
+    n, word = simplified(4, [1, 1, 3, 3, 1, 2, -1, 2])
     assert n == 4 and word in rotations([1, 1, 3, 3, 1, 2, -1, 2])
 
 
 def test_simplified_cancels_across_the_seam():
     # the last letter's next letter, read cyclically, is the first
-    n, word, _ = simplified(4, [-1, 3, 3, 2, 2, 3, 1])
+    n, word = simplified(4, [-1, 3, 3, 2, 2, 3, 1])
     assert n == 4 and word in rotations([3, 3, 2, 2, 3])
 
 
 def test_simplified_destabilises_lone_end_letters():
-    assert simplified(3, [1, 1, 1, 2])[:2] == (2, [1, 1, 1])  # top
-    assert simplified(3, [2, 2, -1, 2])[:2] == (2, [1, 1, 1])  # bottom, renumbered
+    assert simplified(3, [1, 1, 1, 2]) == (2, [1, 1, 1])  # top
+    assert simplified(3, [2, 2, -1, 2]) == (2, [1, 1, 1])  # bottom, renumbered
     # again and again: sigma_4, then sigma_3, then sigma_1 is alone
-    assert simplified(5, [2, 2, 2, 3, 4, 1])[:2] == (2, [1, 1, 1])
+    assert simplified(5, [2, 2, 2, 3, 4, 1]) == (2, [1, 1, 1])
     # a dropped end letter frees a pair: 1 2 -1 3 goes to 1 -1, then to nothing
-    assert simplified(4, [1, 2, -1, 3])[:2] == (2, [])
+    assert simplified(4, [1, 2, -1, 3]) == (2, [])
     # strands no letter touches stay, and a lone end letter of the rest goes
-    assert simplified(6, [2, 2, 3, 3, 4])[:2] == (5, [2, 2, 3, 3])
+    assert simplified(6, [2, 2, 3, 3, 4]) == (5, [2, 2, 3, 3])
 
 
 def test_simplified_reaches_the_empty_word_on_k_strands():
-    assert simplified(5, [1, 3, -1, -3, 2, -2, 4, 4, -4, -4]) == (5, [], None)
-    assert simplified(2, [1, -1]) == (2, [], None)
-    assert simplified(1, []) == (1, [], None)
+    assert simplified(5, [1, 3, -1, -3, 2, -2, 4, 4, -4, -4]) == (5, [])
+    assert simplified(2, [1, -1]) == (2, [])
+    assert simplified(1, []) == (1, [])
 
 
-def test_simplified_keeps_and_tracks_the_mark():
-    # unmarked, 1 1 -1 -1 cancels away; with letter 1 marked, the pair
-    # (1, 2) cannot go and letter 0 is blocked by the mark, as a sigma_1
-    # blocks it; letter 3 still meets letter 0 across the seam
-    assert simplified(2, [1, 1, -1, -1])[:2] == (2, [])
-    n, word, at = simplified(2, [1, 1, -1, -1], 1)
-    assert n == 2 and word in rotations([1, -1]) and word[at] == 1
-    # a lone end letter that is marked stays, with its strand
-    n, word, at = simplified(3, [1, 1, 1, 2], 3)
-    assert n == 3 and word in rotations([1, 1, 1, 2]) and word[at] == 2
-    # the mark, letter 9, is followed through cancellation, a lone sigma_4,
+def simplified_resolved(n, word, c):
+    """_simplified's word for the word with letter c resolved (sign 0)."""
+    n, letters = _simplified(n, resolved(BraidWord.from_ints(n, word), c))
+    return n, list(letters)
+
+
+def test_simplified_keeps_the_resolved_letter():
+    # 1 1 -1 -1 cancels away; with letter 1 resolved, it stays, never
+    # cancels with letter 2 and blocks letter 0 as a sigma_1 would; letter 3
+    # still meets letter 0 across the seam
+    assert simplified(2, [1, 1, -1, -1]) == (2, [])
+    n, word = simplified_resolved(2, [1, 1, -1, -1], 1)
+    assert n == 2 and word in rotations([(1, 0), (1, -1)])
+    # a lone end letter that is resolved is never destabilised
+    n, word = simplified_resolved(3, [1, 1, 1, 2], 3)
+    assert n == 3 and word in rotations([(1, 1), (1, 1), (1, 1), (2, 0)])
+    # letter 9 is resolved; it stays through cancellation, a lone sigma_4,
     # the seam and a lone sigma_2 with the renumbering, and it blocks the
-    # last pair; unmarked, the word goes to nothing
+    # last pair; with every letter a twist, the word goes to nothing
     word = [4, 2, -1, 1, 2, 3, 3, -3, 2, -3, -2, -2]
-    assert simplified(5, word)[:2] == (3, [])
-    n, word, at = simplified(5, word, 9)
-    assert n == 3 and word in rotations([2, -2]) and word[at] == -2
+    assert simplified(5, word) == (3, [])
+    n, word = simplified_resolved(5, word, 9)
+    assert n == 3 and word in rotations([(2, 1), (2, 0)])
 
 
 def test_simplified_keeps_the_closure():
@@ -311,28 +327,28 @@ def test_simplified_keeps_the_closure():
                 else:
                     word, n = [e] + [x + (1 if x > 0 else -1) for x in word], n + 1
         b = BraidWord.from_ints(n, word)
-        s, _ = _simplified(b)
-        assert len(s) <= len(b) and s.strands <= b.strands
+        k, s = _simplified(b.strands, b.letters)
+        assert len(s) <= len(b) and k <= b.strands
         shorter += len(s) < len(b)
-        fewer += s.strands < b.strands
+        fewer += k < b.strands
         assert groups(b) == as_given(b), word
         c = rng.randrange(len(b))
-        s, at = _simplified(b, c)
-        assert s.letters[at][1] == b.letters[c][1]
-        assert _scanned_homology(s, "Z", at) == _scanned_homology(b, "Z", c), (word, c)
+        r = resolved(b, c)
+        k, s = _simplified(n, r)
+        assert [e for _i, e in s].count(0) == 1
+        assert _scanned_homology(k, s, "Z") == _scanned_homology(n, r, "Z"), (word, c)
     assert shorter and fewer
 
 
 def test_resolution_does_not_depend_on_the_resolved_crossings_sign():
-    # cup_i cap_i replaces letter c whatever its sign: it scans at shift 0
-    # and only the other letters grade it
+    # cup_i cap_i replaces letter c whatever its sign: v, found by walking
+    # the arc, depends on the other letters' signs alone
     rng = random.Random(28)
     for _ in range(40):
         n = rng.randint(2, 5)
         b = BraidWord.from_ints(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))])
         for c, (i, s) in enumerate(b.letters):
             flipped = BraidWord(n, b.letters[:c] + ((i, -s),) + b.letters[c + 1 :])
-            assert _scanned_homology(flipped, "Z", c) == _scanned_homology(b, "Z", c), (b.format(), c)
             assert _infinity_homology(flipped, c, "Z") == _infinity_homology(b, c, "Z"), (b.format(), c)
 
 
@@ -344,7 +360,7 @@ def test_simplified_runs_a_long_word_fast():
         word[p:p] = [i, 5 if i < 3 else 1, -i] if rng.random() < 0.5 else [i, -i]
     b = BraidWord.from_ints(8, word[:2000])
     t0 = time.perf_counter()
-    s, _ = _simplified(b)
+    _n, s = _simplified(b.strands, b.letters)
     assert time.perf_counter() - t0 < 1.0
     assert len(s) < len(b)
 
@@ -386,7 +402,7 @@ def test_skein_failure_reports_integer_euler_defects(monkeypatch):
 def test_braid_complex_is_valid():
     b = BraidWord.from_ints(2, [1, -1, 1])
     for caps in (None, _cap_plan(2, b.letters)):
-        braid_complex(b, caps).validate()
+        braid_complex(b.strands, b.letters, caps).validate()
 
 
 def test_suites_cap_a_shared_prefix_of_caps_once(monkeypatch):
@@ -482,7 +498,38 @@ def test_every_conjugate_scans_to_the_same_groups():
         want = unscanned_groups(b)
         assert compute(b).bigraded == want
         for v in conjugates(b):
-            assert closed_groups(v, braid_complex(v, _cap_plan(n, v.letters))) == want, (word, v)
+            assert closed_groups(v, braid_complex(n, v.letters, _cap_plan(n, v.letters))) == want, (word, v)
+
+
+def k0_norm(C):
+    """The L1 norm of C's class sum_h (-1)^h [P_a]{q^shift} in K_0."""
+    cls = {}
+    for h, summands in C.terms.items():
+        for p in summands:
+            cls[(p.matching, p.qshift)] = cls.get((p.matching, p.qshift), 0) + (-1 if h % 2 else 1)
+    return sum(map(abs, cls.values()))
+
+
+def test_scan_norm_is_the_k0_norm_of_the_scanned_complexes():
+    # every word of 1-4 letters on 3 strands and 1-3 on 4, signs in
+    # {-1, 0, +1} with at most one 0: the norm that prices a conjugate sums,
+    # over letters, the K_0 norm of the complex the scan holds after that
+    # letter and its caps; a resolved letter adds E_i X with no identity term
+    words = 0
+    for k, most in ((3, 4), (4, 3)):
+        for length in range(1, most + 1):
+            for idx in product(range(1, k), repeat=length):
+                for signs in product((-1, 0, 1), repeat=length):
+                    if signs.count(0) > 1:
+                        continue
+                    letters, words = tuple(zip(idx, signs)), words + 1
+                    caps = _cap_plan(k, letters)
+                    C, total = Complex.single(horseshoe(k)), 0
+                    for t, x in enumerate(letters):
+                        C = _twisted([x], C, [caps[t]])
+                        total += k0_norm(C)
+                    assert _scan_norm(k, letters, caps, float("inf")) == total, (k, letters)
+    assert words == 1587
 
 
 def times_v(H, copies):
@@ -520,11 +567,10 @@ def unscanned_resolution(b, c):
     """The groups over Z of b's closure with letter c resolved, by the build
     that scanning replaced: the letters before c twist in H_n, cup_i cap_i
     resolves c at shift 0, the rest twist, and the closure is along
-    horseshoe(n); graded by the offsets of the letters other than c."""
+    horseshoe(n); graded by the letters other than c."""
     C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
     C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(b.letters[c][0], C, 0)[0]))
-    raw = homology(idempotent_truncate(horseshoe(b.strands), C), "Z")
-    return raw.shifted(*_offsets(b.without_letter(c)))
+    return closed_groups(b.without_letter(c), C)
 
 
 def test_scanned_resolution_equals_the_unscanned_one_beyond_the_cube():
@@ -536,13 +582,14 @@ def test_scanned_resolution_equals_the_unscanned_one_beyond_the_cube():
     for n in (5, 6, 7, 8):
         word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(8, 12))]
         b = BraidWord.from_ints(n, word)
-        rotations = {b.letters[r:] + b.letters[:r] for r in range(len(b))}
         for c in range(len(b)):
-            assert _scanned_homology(b, "Z", c) == unscanned_resolution(b, c), (word, c)
-            v, _caps, at = _cheapest_conjugate(b, c)
-            assert v.letters[at][1] == b.letters[c][1]
-            flipped |= v.strands == n and v.letters not in rotations
-            moved |= at != c
+            r = resolved(b, c)
+            assert _scanned_homology(n, r, "Z") == unscanned_resolution(b, c), (word, c)
+            k, v, _caps = _cheapest_conjugate(r)
+            signs = [e for _i, e in v]
+            assert signs.count(0) == 1
+            flipped |= k == n and tuple(v) not in {r[t:] + r[:t] for t in range(len(r))}
+            moved |= signs.index(0) != c
     assert flipped and moved
 
 
@@ -596,7 +643,7 @@ def _tl_jones(b):
         for e, v in poly.items():
             for x in range(c + 1):  # (q + 1/q)^c
                 chi[e + c - 2 * x] = chi.get(e + c - 2 * x, 0) + comb(c, x) * v
-    sign = (-1) ** b.positives
+    sign = (-1) ** positives(b)
     return {e + b.writhe: sign * v for e, v in chi.items() if v}
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import khbraid
 
 
@@ -7,3 +10,24 @@ def test_every_public_name_resolves():
     missing = [name for name in khbraid.__all__ if not hasattr(khbraid, name)]
     assert not missing
     assert len(set(khbraid.__all__)) == len(khbraid.__all__)
+
+
+def test_every_module_level_import_in_src_is_used():
+    # checked on the AST: a name bound by a module-level import is read
+    # somewhere in its module.  Exempt are __init__'s re-exports and the
+    # imports that exist only for the benchmark's tracer to patch
+    src = Path(khbraid.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and "# kept: perfbench/tracer.py patches" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused
