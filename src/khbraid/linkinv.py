@@ -8,7 +8,8 @@ and Bar-Natan's scanning, which runs cap_m right after the last
 sigma_{m-1}, on the conjugate that scans cheapest, down to H_1; it closes
 along horseshoe(1) (`idempotent_truncate`) and takes integer homology.
 `compute` and the skein suite's resolution share that path, on a shorter
-word with the same closure (`_simplified`): a letter of sign 0 is a
+word with the same closure (`_simplified`: cancellation, destabilisation and
+Dehornoy's handle moves, each judged on its window): a letter of sign 0 is a
 resolved crossing, cup_i cap_i at no shift in place of a twist.
 `verify_markov` scans its moved words as given.  The braid-relation and
 twist-inverse suites run the loop with no caps and close at every matching.
@@ -255,7 +256,7 @@ def _cheapest_conjugate(letters):
     return choice
 
 
-def _simplified(strands: int, letters) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _reduced(strands: int, letters) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(n, letters) with the closure of the given ones.  Until neither
     applies: sigma_i^e cancels with the next letter, read cyclically, within
     1 of i, if it is sigma_i^-e (a letter of sign 0, at most one a word,
@@ -286,6 +287,67 @@ def _simplified(strands: int, letters) -> tuple[int, tuple[tuple[int, int], ...]
                 word[top[g].pop()], n, low, cancelled = None, n - 1, low + (g == min(live)), True
                 break
     return n, tuple((i - low, s) for i, s in filter(None, word[lap.start :]))
+
+
+def _handle_moves(n: int, word: list, starts, outer: tuple = ()):
+    """Each move on a handle beginning at a position in starts, in order, as
+    (key, moved, where).  moved is the word after the move, led by its
+    window: the letters from the sigma_i before the handle to the one after
+    (or all), rewritten and cancelled as a segment, the rewrite on from
+    `where`.  key is (letters, strands) once a lone end sigma_i or sigma_j
+    goes.  Then, with no outer (the first word's length and end generators),
+    the moves of each moved on the handles beginning in its `where`."""
+    size, firsts, ww = len(word), [], word * 3  # position a of the word is ww[size + a]
+    base, lo, hi = outer or (size, min(word, default=(0, 0))[0], max(word, default=(0, 0))[0])
+    for a in starts:
+        (i, e), a = word[a], size + a
+        t = next((t for t in range(1, size) if ww[a + t][0] == i or not ww[a + t][1]), 0)
+        js = {g for g, _d in ww[a + 1 : a + t]} & {i - 1, i + 1}
+        if not (e and t and ww[a + t] == (i, -e) and len(js) == 1):
+            continue
+        (j,), back = js, next(d for d in range(1, size) if ww[a - d][0] == i)
+        ahead = next(d for d in range(1, size) if ww[a + t + d][0] == i)
+        back, ahead = (back, ahead) if back + t + ahead < size else (0, size - 1 - t)  # all, not overlapping
+        mid = [y for g, d in ww[a + 1 : a + t] for y in ([(j, -e), (i, d), (j, e)] if g == j else [(g, d)])]
+        new = []
+        for g, d in ww[a - back : a] + mid + ww[a + t + 1 : a + t + ahead + 1]:
+            p = len(new) - 1
+            while p >= 0 and abs(new[p][0] - g) > 1:
+                p -= 1
+            if p >= 0 and new[p] == (g, -d):
+                del new[p]
+            else:
+                new.append((g, d))
+        moved = new + ww[a + t + ahead + 1 : a + size - back]
+        ends = {lo, hi} & {i, j} if 0 <= len(moved) - base <= 1 else ()
+        k = n - any(moved.count((g, 1)) + moved.count((g, -1)) == 1 and (g, 0) not in moved for g in ends)
+        firsts.append(((len(moved) - n + k, k), moved, range(back, len(new))))
+        yield firsts[-1]
+    for _key, moved, where in () if outer else firsts:
+        yield from _handle_moves(n, moved, where, (size, lo, hi))
+
+
+def _simplified(strands: int, letters) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(n, letters) with the closure of the given ones: `_reduced`, then
+    cyclic handle reduction (Dehornoy 1997) until no move is kept.  A handle
+    is sigma_i^e w sigma_i^-e, read cyclically, e = +-1, whose w holds no
+    sigma_i, no letter of sign 0, and sigma_j letters for one j = i +- 1; the
+    move drops its ends and writes each sigma_j^d of w as sigma_j^-e sigma_i^d
+    sigma_j^e, that braid as |i - j| = 1.  The first move, else the first
+    pair, in position order, after which cancellation and destabilisation
+    make (letters, strands) smaller is kept, judged on its window alone
+    (`_handle_moves`).  Work, for L letters: at most 3L rounds, each of at
+    most L + 3L^2 tries of O(L^2) reads, so O(L^5) reads."""
+    n, word = _reduced(strands, letters)
+    while True:
+        tries = _handle_moves(n, list(word), range(len(word)))
+        key, moved = next(((key, m) for key, m, _w in tries if key < (len(word), n)), ((len(word), n), word))
+        if key[1] == n and moved is not word:  # cancelled in its window; no strand goes
+            word = moved
+        elif (reduced := _reduced(n, moved)) == (n, tuple(word)):
+            return reduced
+        else:
+            n, word = reduced
 
 
 def braid_complex(strands: int, letters, caps) -> Complex:

@@ -16,6 +16,7 @@ from khbraid.linkinv import (
     _complement_arc_v,
     _infinity_homology,
     _offsets,
+    _reduced,
     _scan_norm,
     _scanned_homology,
     _simplified,
@@ -363,6 +364,81 @@ def test_simplified_runs_a_long_word_fast():
     _n, s = _simplified(b.strands, b.letters)
     assert time.perf_counter() - t0 < 1.0
     assert len(s) < len(b)
+
+
+def plant_handle(rng, n, word):
+    """word with a handle sigma_i^e w sigma_i^-e put in at random: w mixes
+    sigma_j letters, for one j = i +- 1, with letters 2 or more away from i."""
+    i, e = rng.randint(1, n - 1), rng.choice((1, -1))
+    j = rng.choice([g for g in (i - 1, i + 1) if 1 <= g < n])
+    far = [g for g in range(1, n) if abs(g - i) >= 2]
+    w = [rng.choice((1, -1)) * j] + [rng.choice((1, -1)) * rng.choice([j] + far) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(w)
+    p = rng.randint(0, len(word))
+    return word[:p] + [e * i] + w + [-e * i] + word[p:]
+
+
+def test_handle_moves_keep_the_closure():
+    # compute's word, after handle moves, scans to the groups of the word as
+    # given, with and without a resolved letter; the resolved letter stays,
+    # some words are shorter than cancellation and destabilisation alone
+    # make them, and _simplified's word is its own simplification
+    rng = random.Random(30)
+    by_handles = 0
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(1, 2)):
+            word = plant_handle(rng, n, word)
+        b = BraidWord.from_ints(n, word)
+        for letters in (b.letters, resolved(b, rng.randrange(len(b)))):
+            k, s = _simplified(n, letters)
+            m, r = _reduced(n, letters)
+            assert (len(s), k) <= (len(r), m)
+            by_handles += (len(s), k) < (len(r), m)
+            assert [e for _i, e in s].count(0) == [e for _i, e in letters].count(0)
+            assert _simplified(k, s) == (k, s)
+            assert _scanned_homology(k, s, "Z") == _scanned_homology(n, letters, "Z"), (word, letters)
+    assert by_handles
+
+
+def test_a_resolved_letter_blocks_every_handle_it_is_in():
+    # handle moves, the first on sigma_1 sigma_2 sigma_1^-1 (letters 0-2),
+    # take the word to sigma_2^-2, which cancellation alone cannot; with
+    # letter 1, inside that handle, resolved, no move is kept, and with any
+    # other letter resolved, some handle is still there to take
+    b = BraidWord.from_ints(3, [1, 2, -1, -2, -1, -2])
+    assert _reduced(3, b.letters) == (3, b.letters)
+    assert simplified(3, [1, 2, -1, -2, -1, -2]) == (3, [-2, -2])
+    r = resolved(b, 1)
+    assert _simplified(3, r) == _reduced(3, r) == (3, r)
+    for c in (0, 2, 3, 4, 5):
+        assert len(_simplified(3, resolved(b, c))[1]) < len(b), c
+
+
+def test_alternating_words_keep_their_letters():
+    # sigma_1 only positive and sigma_2 only negative: no handle, and a
+    # reduced alternating diagram has the fewest crossings (Kauffman,
+    # Murasugi, Thistlethwaite), so only a lone end letter may go
+    for k in range(2, 11):
+        for word in product((1, -2), repeat=k):
+            letters = BraidWord.from_ints(3, list(word)).letters
+            n, s = _simplified(3, letters)
+            assert (n, s) == _reduced(3, letters)
+            if word.count(1) != 1 and word.count(-2) != 1:
+                assert (n, len(s)) == (3, k), word
+
+
+def test_simplified_takes_handle_moves_on_a_long_word_fast():
+    rng = random.Random(2001)
+    word = [rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(1500)]
+    for _ in range(150):
+        word = plant_handle(rng, 8, word)
+    b = BraidWord.from_ints(8, word[:2000])
+    t0 = time.perf_counter()
+    _n, s = _simplified(b.strands, b.letters)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(s) < len(_reduced(b.strands, b.letters)[1]) < len(b)
 
 
 def test_complement_arc_v_single_crossing():
