@@ -219,19 +219,15 @@ def _verify_strands(n: int | None, kind: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    """Run the suite args.what names; exit 1 if it fails, 2 on a refused input."""
     kind = args.what
     if kind == "markov":
         report = verify_markov(_braid_from_args(args), coefficients=_coeffs(args))
     elif kind == "skein":
-        b = _braid_from_args(args)
-        coeffs = _coeffs(args, default="Q")
-        if not b.letters:
-            raise InputError("skein verification needs at least one crossing")
-        if args.crossing is not None and not 0 <= args.crossing < len(b.letters):
-            raise InputError(f"--crossing must lie in 0..{len(b.letters) - 1}")
-        crossings = [args.crossing] if args.crossing is not None else range(len(b.letters))
-        subs = [verify_skein(b, c, coeffs) for c in crossings]
-        report = {"word": b.format(), "crossings": subs, "ok": all(s["ok"] for s in subs)}
+        try:
+            report = verify_skein(_braid_from_args(args), args.crossing, _coeffs(args, default="Q"))
+        except ValueError as e:
+            raise InputError(str(e)) from e
     elif kind == "braid-relations":
         _verify_strands(args.n, "braid-relations")
         report = verify_braid_relations(args.n)

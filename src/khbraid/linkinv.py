@@ -506,61 +506,65 @@ def _infinity_homology(b: BraidWord, c: int, coefficients: str) -> tuple[Bigrade
     return _scanned_homology(*_simplified(b.strands, letters), coefficients).shifted(-v, -3 * v), v
 
 
-def verify_skein(b: BraidWord, crossing: int, coefficients: str = "Q") -> dict:
-    """Check the unoriented skein triangle at one crossing.
+def verify_skein(b: BraidWord, crossing: int | None = None, coefficients: str = "Q") -> dict:
+    """Check the unoriented skein triangle at each crossing of b, or at
+    `crossing` alone: {"word", "crossings": a report each, "ok"}.  The link
+    X is scanned once, and Y (letter removed) and Z (resolved) once per
+    crossing.  An empty word or a crossing outside 0..m-1 is a ValueError.
 
-    Computes the three links (crossing, oriented 0-resolution, unoriented
-    resolution) and lays out one long exact sequence per j, its degree
-    offsets, v included, stated only in `window`.  Each rank is at most its
-    neighbours' sum, and the ranks signed by (-1)^(i + position) sum to an
-    integer defect of 0: the window covers every nonzero group, so that is
-    the triangle's Euler identity.
+    One long exact sequence per j is laid out, its degree offsets, v included,
+    stated only in `window`.  Each rank is at most its neighbours' sum, and
+    the ranks signed by (-1)^(i + position) sum to an integer defect of 0,
+    the triangle's Euler identity, as the window covers every nonzero group.
     """
-    if not 0 <= crossing < len(b.letters):
-        raise ValueError("crossing index out of range")
-    sign = b.letters[crossing][1]
-    X = compute(b, coefficients).bigraded
-    Y = compute(b.without_letter(crossing), coefficients).bigraded
-    Z, v = _infinity_homology(b, crossing, coefficients)
+    if not b.letters:
+        raise ValueError("skein verification needs at least one crossing")
+    if crossing is not None and not 0 <= crossing < len(b.letters):
+        raise ValueError(f"--crossing must lie in 0..{len(b.letters) - 1}")
+    X, reports = compute(b, coefficients).bigraded, []
+    for c in range(len(b.letters)) if crossing is None else (crossing,):
+        sign = b.letters[c][1]
+        Y = compute(b.without_letter(c), coefficients).bigraded
+        Z, v = _infinity_homology(b, c, coefficients)
 
-    # the repeating long exact sequence window, indexed by (i, j) of X
-    if sign == 1:
-        # X^{i,j} -> Y^{i,j-1} -> Z^{i-v,j-3v-2} -> X^{i+1,j}
-        window = lambda i, j: [(X, (i, j)), (Y, (i, j - 1)), (Z, (i - v, j - 3 * v - 2))]
-    else:
-        # X^{i,j} -> Z^{i-v+1,j-3v+2} -> Y^{i+1,j+1} -> X^{i+1,j}
-        window = lambda i, j: [(X, (i, j)), (Z, (i - v + 1, j - 3 * v + 2)), (Y, (i + 1, j + 1))]
+        # the repeating long exact sequence window, indexed by (i, j) of X
+        if sign == 1:
+            # X^{i,j} -> Y^{i,j-1} -> Z^{i-v,j-3v-2} -> X^{i+1,j}
+            window = lambda i, j: [(X, (i, j)), (Y, (i, j - 1)), (Z, (i - v, j - 3 * v - 2))]
+        else:
+            # X^{i,j} -> Z^{i-v+1,j-3v+2} -> Y^{i+1,j+1} -> X^{i+1,j}
+            window = lambda i, j: [(X, (i, j)), (Z, (i - v + 1, j - 3 * v + 2)), (Y, (i + 1, j + 1))]
 
-    i_vals = [i for g in (X, Y, Z) for (i, _j) in g.entries] or [0]
-    j_vals = [j for g in (X, Y, Z) for (_i, j) in g.entries] or [0]
-    i_lo, i_hi = min(i_vals) - abs(v) - 2, max(i_vals) + abs(v) + 2
-    j_lo, j_hi = min(j_vals) - 3 * abs(v) - 4, max(j_vals) + 3 * abs(v) + 4
+        i_vals, j_vals = zip(*([*X.entries, *Y.entries, *Z.entries] or [(0, 0)]))
+        i_lo, i_hi = min(i_vals) - abs(v) - 2, max(i_vals) + abs(v) + 2
+        j_lo, j_hi = min(j_vals) - 3 * abs(v) - 4, max(j_vals) + 3 * abs(v) + 4
 
-    rank_failures, euler_failures = [], []
-    for j in range(j_lo, j_hi + 1):
-        seq: list[tuple[int, tuple[int, int], int]] = []
-        defect = 0  # ranks of an exact sequence over a field alternate to 0
-        for i in range(i_lo, i_hi + 1):
-            for pos, (g, ij) in enumerate(window(i, j)):
-                r = g.rank(*ij)
-                seq.append((pos, ij, r))
-                defect += -r if (i + pos) % 2 else r
-        for k in range(1, len(seq) - 1):
-            mid = seq[k][2]
-            if mid > seq[k - 1][2] + seq[k + 1][2]:
-                rank_failures.append({"j": j, "term": seq[k][:2], "rank": mid})
-        if defect:
-            euler_failures.append({"j": j, "defect": defect})
+        rank_failures, euler_failures = [], []
+        for j in range(j_lo, j_hi + 1):
+            seq: list[tuple[int, tuple[int, int], int]] = []
+            defect = 0  # ranks of an exact sequence over a field alternate to 0
+            for i in range(i_lo, i_hi + 1):
+                for pos, (g, ij) in enumerate(window(i, j)):
+                    r = g.rank(*ij)
+                    seq.append((pos, ij, r))
+                    defect += -r if (i + pos) % 2 else r
+            for k in range(1, len(seq) - 1):
+                mid = seq[k][2]
+                if mid > seq[k - 1][2] + seq[k + 1][2]:
+                    rank_failures.append({"j": j, "term": seq[k][:2], "rank": mid})
+            if defect:
+                euler_failures.append({"j": j, "defect": defect})
 
-    return {
-        "word": b.format(),
-        "crossing": crossing,
-        "sign": sign,
-        "v": v,
-        "coefficients": coefficients,
-        "rank_inequalities_ok": not rank_failures,
-        "rank_failures": rank_failures,
-        "euler_identity_ok": not euler_failures,
-        "euler_failures": euler_failures,
-        "ok": not rank_failures and not euler_failures,
-    }
+        reports.append({
+            "word": b.format(),
+            "crossing": c,
+            "sign": sign,
+            "v": v,
+            "coefficients": coefficients,
+            "rank_inequalities_ok": not rank_failures,
+            "rank_failures": rank_failures,
+            "euler_identity_ok": not euler_failures,
+            "euler_failures": euler_failures,
+            "ok": not rank_failures and not euler_failures,
+        })
+    return {"word": b.format(), "crossings": reports, "ok": all(r["ok"] for r in reports)}

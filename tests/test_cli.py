@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -330,6 +331,40 @@ def test_output_file(tmp_path, capsys):
     rc, _o, _e = run(capsys, "compute", "--braid", "1", "-n", "2", "-o", str(out_path))
     assert rc == 0
     assert json.loads(out_path.read_text())["link"] == "n=2 1"
+
+
+W12 = "n=4 1 2 -3 1 2 -3 1 -2 3 -1 2 3"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("skein", "--braid", "n=2 1 1 1"), "68812aa3430fa7f40eccef8c445deba1e8294531fc67379de8551c7f6b2b7fbf"),
+        (("skein", "--braid", "n=3 1 -2 1 -2", "--coeffs", "Z"), "78353e8b46f94446eb2a58344557d20fff4c5aed24ab272dd4135d96cd3b1a3a"),
+        (("skein", "--braid", "n=2 -1 -1 -1", "--coeffs", "Z"), "7dcd83d8be3957b27b1d3622938774035c3a5e0070ce8cc3a33e53a70753d104"),
+        (("skein", "--braid", W12), "3d866f218341aa45ad4788ac66f185e4db1004feff8ec7c1d46e98041fc81a6c"),
+        (("skein", "--braid", W12, "--crossing", "7", "--coeffs", "Z"), "18a2289430cf448d4703c3491213b51e5b47b8c6f7539ec4a7d4cd32d83d4d36"),
+        (("markov", "--braid", W12), "b4c1a1d876566469c3b5ef8b8ce5ffa24f6041023760bc18ab073b18a102ee1b"),
+    ],
+    ids=["skein-trefoil", "skein-figure8-Z", "skein-left-trefoil-Z", "skein-W12", "skein-W12-crossing7-Z", "markov-W12"],
+)
+def test_verify_output_bytes_are_pinned(argv, digest, tmp_path, capsys, monkeypatch):
+    # the sha256 of each report's -o bytes: the verify suites' output is
+    # pinned byte for byte, key order and indentation included
+    monkeypatch.delenv("KH_COEFFS", raising=False)
+    out_path = tmp_path / "report.json"
+    rc, out, err = run(capsys, "verify", *argv, "-o", str(out_path))
+    assert (rc, out, err) == (0, "", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_skein_refusals_keep_their_text(capsys):
+    for argv, text in (
+        (("--braid", "n=2"), "skein verification needs at least one crossing"),
+        (("--braid", "n=2 1 1", "--crossing", "2"), "--crossing must lie in 0..1"),
+        (("--braid", "n=2 1 1", "--crossing", "-1"), "--crossing must lie in 0..1"),
+    ):
+        assert run(capsys, "verify", "skein", *argv) == (2, "", f"error: {text}\n")
 
 
 def test_groups_table_rendering():

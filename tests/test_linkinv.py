@@ -448,13 +448,38 @@ def test_complement_arc_v_single_crossing():
 
 
 def test_skein_unknot_and_trefoil():
-    rep = verify_skein(BraidWord.from_ints(2, [1]), 0)
+    rep = verify_skein(BraidWord.from_ints(2, [1]), 0)["crossings"][0]
     assert rep["ok"] and rep["v"] == 0
     for c in range(3):
-        rep = verify_skein(BraidWord.from_ints(2, [1, 1, 1]), c)
+        rep = verify_skein(BraidWord.from_ints(2, [1, 1, 1]), c)["crossings"][0]
         assert rep["ok"], rep
-    rep = verify_skein(BraidWord.from_ints(2, [-1, -1, -1]), 0)
+    rep = verify_skein(BraidWord.from_ints(2, [-1, -1, -1]), 0)["crossings"][0]
     assert rep["ok"], rep
+
+
+def test_skein_suite_scans_x_once_and_covers_every_crossing(monkeypatch):
+    # the whole-word suite equals the single-crossing calls, crossing by
+    # crossing, with one compute for X and one per crossing for Y
+    from khbraid import linkinv
+
+    real, calls = linkinv.compute, []
+    monkeypatch.setattr(linkinv, "compute", lambda *a, **k: calls.append(a) or real(*a, **k))
+    rng = random.Random(31)
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        b = BraidWord.from_ints(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 6))])
+        m = len(b)
+        calls.clear()
+        rep = verify_skein(b)
+        assert len(calls) == m + 1, (b.format(), len(calls))
+        assert [r["crossing"] for r in rep["crossings"]] == list(range(m)), b.format()
+        assert rep["crossings"] == [verify_skein(b, c)["crossings"][0] for c in range(m)], b.format()
+        assert rep["ok"] and rep["word"] == b.format(), b.format()
+        for bad in (m, -1):
+            with pytest.raises(ValueError):
+                verify_skein(b, bad)
+    with pytest.raises(ValueError):
+        verify_skein(BraidWord(3))
 
 
 def test_skein_failure_reports_integer_euler_defects(monkeypatch):
@@ -469,7 +494,7 @@ def test_skein_failure_reports_integer_euler_defects(monkeypatch):
         return Z.shifted(0, 2), v
 
     monkeypatch.setattr(linkinv, "_infinity_homology", shifted)
-    rep = verify_skein(BraidWord.parse("n=2 -1 -1 -1"), 0, "Q")
+    rep = verify_skein(BraidWord.parse("n=2 -1 -1 -1"), 0, "Q")["crossings"][0]
     assert not rep["ok"] and rep["rank_failures"]
     assert rep["euler_failures"] == [{"j": -9, "defect": -1}, {"j": -5, "defect": 1}]
     assert all(type(f["defect"]) is int for f in rep["euler_failures"])
@@ -636,7 +661,7 @@ def test_wide_braids():
     assert groups((16, [1, -2, 1, 15])) == times_v(groups((5, [1, -2, 1, 4])), 11)
     assert as_given((16, [1, -2, 1, 15])) == times_v(as_given((5, [1, -2, 1, 4])), 11)
     # the skein triangle's three links all scan
-    assert verify_skein(BraidWord.from_ints(12, list(range(1, 12))), 5)["ok"]
+    assert verify_skein(BraidWord.from_ints(12, list(range(1, 12))), 5)["crossings"][0]["ok"]
 
 
 def unscanned_resolution(b, c):
