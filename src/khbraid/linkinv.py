@@ -10,7 +10,7 @@ along horseshoe(1) (`idempotent_truncate`) and takes integer homology.
 `compute` and the skein suite's resolution share that path, on a shorter
 word with the same closure (`_simplified`: cancellation, destabilisation and
 Dehornoy's handle moves, each judged on its window): a letter of sign 0 is a
-resolved crossing, cup_i cap_i at no shift in place of a twist.
+resolved crossing, whose `twist` is cup_i cap_i at no shift.
 `verify_markov` scans its moved words as given.  The braid-relation and
 twist-inverse suites run the loop with no caps and close at every matching.
 
@@ -40,7 +40,7 @@ from operator import sub
 
 from .planar import Matching, cap_apply, cupcap_through, enumerate_matchings, horseshoe, parse_int
 from .homalg import BigradedGroup, Complex, FreeComplex, eliminate, free_complex, homology
-from .tangle import cap_functor, cupcap_functor, twist
+from .tangle import cap_functor, twist
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,11 @@ class InvariantResult:
 
 
 def _twisted(letters, C: Complex, caps=None) -> Complex:
-    """C after each letter (generator index, sign): a twist, or for sign 0
-    the unoriented resolution cup_i cap_i C, unshifted; reduced after every
-    letter and after each cap in caps[t], run after letter t."""
+    """C after each letter (generator index, sign), by its `twist`, sign 0
+    included; reduced after every letter and after each cap in caps[t], run
+    after letter t."""
     for t, (i, s) in enumerate(letters):
-        C = eliminate(twist(i, s, C) if s else cupcap_functor(i, C, 0)[0])
+        C = eliminate(twist(i, s, C))
         for m in caps[t] if caps else ():
             C = eliminate(cap_functor(m, C))
     return C
@@ -512,10 +512,12 @@ def verify_skein(b: BraidWord, crossing: int | None = None, coefficients: str = 
     X is scanned once, and Y (letter removed) and Z (resolved) once per
     crossing.  An empty word or a crossing outside 0..m-1 is a ValueError.
 
-    One long exact sequence per j is laid out, its degree offsets, v included,
-    stated only in `window`.  Each rank is at most its neighbours' sum, and
-    the ranks signed by (-1)^(i + position) sum to an integer defect of 0,
-    the triangle's Euler identity, as the window covers every nonzero group.
+    One long exact sequence per j where a group lives, indexed by (i, j) of
+    X.  `window` states its degree offsets once, v included: position p
+    holds (group, di, dj), and its term is group^{i+di, j+dj}.  i runs over
+    the span of the groups' terms, in X's index, and one zero row past each
+    end.  Each rank is at most its neighbours' sum, and the ranks signed by
+    (-1)^(i + p) sum to an integer defect of 0, the triangle's Euler identity.
     """
     if not b.letters:
         raise ValueError("skein verification needs at least one crossing")
@@ -526,33 +528,21 @@ def verify_skein(b: BraidWord, crossing: int | None = None, coefficients: str = 
         sign = b.letters[c][1]
         Y = compute(b.without_letter(c), coefficients).bigraded
         Z, v = _infinity_homology(b, c, coefficients)
-
-        # the repeating long exact sequence window, indexed by (i, j) of X
-        if sign == 1:
-            # X^{i,j} -> Y^{i,j-1} -> Z^{i-v,j-3v-2} -> X^{i+1,j}
-            window = lambda i, j: [(X, (i, j)), (Y, (i, j - 1)), (Z, (i - v, j - 3 * v - 2))]
-        else:
-            # X^{i,j} -> Z^{i-v+1,j-3v+2} -> Y^{i+1,j+1} -> X^{i+1,j}
-            window = lambda i, j: [(X, (i, j)), (Z, (i - v + 1, j - 3 * v + 2)), (Y, (i + 1, j + 1))]
-
-        i_vals, j_vals = zip(*([*X.entries, *Y.entries, *Z.entries] or [(0, 0)]))
-        i_lo, i_hi = min(i_vals) - abs(v) - 2, max(i_vals) + abs(v) + 2
-        j_lo, j_hi = min(j_vals) - 3 * abs(v) - 4, max(j_vals) + 3 * abs(v) + 4
-
+        # sign +1: X^{i,j} -> Y^{i,j-1} -> Z^{i-v,j-3v-2} -> X^{i+1,j}
+        # sign -1: X^{i,j} -> Z^{i-v+1,j-3v+2} -> Y^{i+1,j+1} -> X^{i+1,j}
+        window = (((X, 0, 0), (Y, 0, -1), (Z, -v, -3 * v - 2)) if sign == 1
+                  else ((X, 0, 0), (Z, 1 - v, 2 - 3 * v), (Y, 1, 1)))
+        lives = {(i - di, j - dj) for g, di, dj in window for i, j in g.entries}  # in X's (i, j)
+        rows = range(min(lives, default=(0,))[0] - 1, max(lives, default=(0,))[0] + 2)
         rank_failures, euler_failures = [], []
-        for j in range(j_lo, j_hi + 1):
-            seq: list[tuple[int, tuple[int, int], int]] = []
-            defect = 0  # ranks of an exact sequence over a field alternate to 0
-            for i in range(i_lo, i_hi + 1):
-                for pos, (g, ij) in enumerate(window(i, j)):
-                    r = g.rank(*ij)
-                    seq.append((pos, ij, r))
-                    defect += -r if (i + pos) % 2 else r
+        for j in sorted({j for _i, j in lives}):
+            seq = [(pos, (i + di, j + dj), g.rank(i + di, j + dj), (i + pos) % 2)
+                   for i in rows for pos, (g, di, dj) in enumerate(window)]
             for k in range(1, len(seq) - 1):
-                mid = seq[k][2]
-                if mid > seq[k - 1][2] + seq[k + 1][2]:
-                    rank_failures.append({"j": j, "term": seq[k][:2], "rank": mid})
-            if defect:
+                if seq[k][2] > seq[k - 1][2] + seq[k + 1][2]:
+                    rank_failures.append({"j": j, "term": seq[k][:2], "rank": seq[k][2]})
+            # ranks of an exact sequence over a field alternate to 0
+            if defect := sum(-r if odd else r for _pos, _ij, r, odd in seq):
                 euler_failures.append({"j": j, "defect": defect})
 
         reports.append({

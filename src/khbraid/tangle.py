@@ -6,6 +6,7 @@ counit of the cup/cap adjunction:
 
 * positive crossing:  Cone(C -> (cup_i cap_i C){+1})   (cone of the unit)
 * negative crossing:  Cone((cup_i cap_i C){-1} -> C)   (cone of the counit)
+* resolved crossing:  cup_i cap_i C                    (a letter of sign 0)
 
 On a summand P_a the endofunctor cup_i cap_i is P_{a'} for the resurgered
 matching a' when a does not contain the arc (i, i+1), and P_a{+1} (+)
@@ -236,10 +237,11 @@ def twist(i: int, sign: int, C: Complex) -> Complex:
     """Mapping-cone twist for one braid letter at strand position i.
 
     sign +1 builds Cone(C -> (cup cap C){1}) (unit), sign -1 builds
-    Cone((cup cap C){-1} -> C) (counit).  Gradings are raw here; the link
+    Cone((cup cap C){-1} -> C) (counit), and sign 0, the resolved crossing,
+    is cup cap C unshifted, no cone.  Gradings are raw here; the link
     pipeline applies the calibrated per-letter offsets at the end.
 
-    The cone's d^2 check is the one chain-map check per letter: it covers
+    A cone's d^2 check is the one chain-map check per letter: it covers
     f d_C - d_D f, the quantum degree of f, d_C^2 (the only check of
     `eliminate`'s output) and d_D^2 (the only check of the functor's
     output), and raises ValueError when any of them fails.
@@ -250,4 +252,6 @@ def twist(i: int, sign: int, C: Complex) -> Complex:
     if sign == -1:
         f, D = counit_map(i, C)
         return cone(f, D, C)
-    raise ValueError("sign must be +1 or -1")
+    if sign == 0:
+        return cupcap_functor(i, C, 0)[0]
+    raise ValueError("sign must be +1, -1 or 0")

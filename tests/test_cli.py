@@ -358,6 +358,35 @@ def test_verify_output_bytes_are_pinned(argv, digest, tmp_path, capsys, monkeypa
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--braid", "n=2 -1 -1 -1"), "cb4f198c8538ed8159732c3e1b73ff0eded091cdf391772c9f2ab916b289e82a"),
+        (("--braid", "n=2 1 1 1"), "335003e8556d05d67ec316edf37e93b7e0f95c4618fa6d0557f7c4fd2bcfb148"),
+        (("--braid", W12, "--coeffs", "Z"), "2c4d33ea9afd0700dd25f5daf31a2c97d497f9ef7a9fca4cabbb075857e1c008"),
+    ],
+    ids=["left-trefoil", "trefoil", "W12-Z"],
+)
+def test_failing_skein_output_bytes_are_pinned(argv, digest, tmp_path, capsys, monkeypatch):
+    # a Z shifted by (0, 2) breaks the triangle: the -o bytes pin every rank
+    # failure's term and every Euler defect, in order, so a scan range that
+    # loses a term at an end of the sequence changes them
+    from khbraid import linkinv
+
+    real = linkinv._infinity_homology
+
+    def shifted(b, c, coefficients):
+        Z, v = real(b, c, coefficients)
+        return Z.shifted(0, 2), v
+
+    monkeypatch.setattr(linkinv, "_infinity_homology", shifted)
+    monkeypatch.delenv("KH_COEFFS", raising=False)
+    out_path = tmp_path / "report.json"
+    rc, out, err = run(capsys, "verify", "skein", *argv, "-o", str(out_path))
+    assert (rc, out, err) == (1, "", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_skein_refusals_keep_their_text(capsys):
     for argv, text in (
         (("--braid", "n=2"), "skein verification needs at least one crossing"),

@@ -365,6 +365,24 @@ def test_unit_counit_composite_is_center_multiplication():
     assert comp[(0, 0)] == twice_v
 
 
+def test_twist_of_sign_0_is_the_unshifted_cupcap():
+    # the resolved crossing is cup_i cap_i C itself, no cone; any sign
+    # other than +1, -1 and 0 is refused
+    rng = random.Random(5)
+    for n in (2, 3):
+        ms = enumerate_matchings(n)
+        for _ in range(6):
+            C = single(rng.choice(ms))
+            for _ in range(rng.randint(0, 2)):
+                C = eliminate(twist(rng.randint(1, 2 * n - 1), rng.choice((1, -1)), C))
+            i = rng.randint(1, 2 * n - 1)
+            T, D = twist(i, 0, C), cupcap_functor(i, C, 0)[0]
+            assert (T.terms, T.diffs) == (D.terms, D.diffs)
+            for bad in (2, -2):
+                with pytest.raises(ValueError, match="sign"):
+                    twist(i, bad, C)
+
+
 def test_twist_has_two_homological_columns():
     for w in enumerate_matchings(2):
         for i in (1, 2, 3):

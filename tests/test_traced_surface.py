@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,27 @@ def test_tracer_installs_on_the_real_modules_and_restores_them(capsys):
         assert calls.get(name, 0) == 1, name
 
 
+def test_every_import_kept_for_the_tracer_is_one_it_patches():
+    # src keeps an otherwise unused import only where the tracer patches that
+    # name in that module, and says so in a comment; an import whose patch
+    # is gone from install is dead code, and fails here
+    tracing = load_tracer()
+    undo = tracing.install(tracing.Tracer(), real_modules())
+    tracing.uninstall(undo)
+    patched = {(owner.__name__, attr) for owner, attr, _orig in undo}
+    kept = []
+    for path in sorted((ROOT / "src" / "khbraid").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "# kept: perfbench/tracer.py" in line:
+                m = re.fullmatch(r"from \S+ import (\w+)  # kept: perfbench/tracer\.py patches (\w+)\.(\w+)", line)
+                assert m, (path.name, line)
+                kept.append((path.stem, *m.groups()))
+    assert kept
+    for module, name, patched_module, attr in kept:
+        assert (patched_module, attr) == (module, name), (module, name)
+        assert (f"khbraid.{module}", name) in patched, (module, name)
+
+
 def test_traced_skein_runs_all_three_links_through_the_letter_loop(capsys):
     # the crossing, its oriented smoothing and its unoriented resolution each
     # scan once: a skein path that bypasses the letter loop reads fewer
@@ -80,6 +102,13 @@ def test_traced_skein_runs_all_three_links_through_the_letter_loop(capsys):
     _self_s, _incl_s, calls = tracing.self_times(tr.spans, tr.folded)
     for name in ("linkinv.braid_complex", "homalg.idempotent_truncate", "homalg.homology"):
         assert calls.get(name, 0) == 3, name
+    # the three scans run 3 + 2 + 3 letters, each through tangle.twist: 7
+    # cones on the unit, and Z's resolved letter, cup∘cap alone; a resolved
+    # crossing that bypasses tangle.twist or its functor call reads 7 here
+    for name in ("tangle.twist", "tangle.cupcap_functor"):
+        assert calls.get(name, 0) == 8, name
+    for name in ("tangle.unit_map", "homalg.cone"):
+        assert calls.get(name, 0) == 7, name
 
 
 def test_traced_caches_expose_cache_info(capsys):
