@@ -11,11 +11,11 @@ it is computed once as a "schedule" and cached together with a table of
 basis products.  `_surgery_schedule` is the one builder of such schedules:
 it follows the circles of a diagram through a run of saddles, here the
 contractions of v's arcs and in `khbraid.tangle` the single saddle of the
-cup∘cap functor, walking each circle once and then updating only the
-circles a saddle touches; `_execute` runs every schedule on labelings.  The
-product of two basis labelings is computed by running the schedule on that
-one pair the first time it is asked for, and read from the table after
-that; a product of combinations adds up table entries (`_add_products`,
+cup∘cap functor, naming each circle by the slot it lives in and walking
+only the circles a saddle creates; `_execute` runs every schedule on
+labelings.  The product of two basis labelings is computed by running the
+schedule on that one pair the first time it is asked for, and read from
+the table after that; a product of combinations adds up table entries (`_add_products`,
 which `multiply`, `khbraid.homalg`'s `compose` and `eliminate`, and the scan of all
 basis products `_basis_products` call).  The scan is the one loop behind arc-dump's
 `multiplication_table` and `verify_positivity`.  The cache holds at
@@ -104,13 +104,12 @@ def _surgery_schedule(arcs, saddles):
     (p, q, r, s) on four distinct nodes replaces the arcs (p, q) and (r, s)
     by (p, r) and (q, s): it merges the circles of p and r, or splits their
     common circle into the halves through p and through q.  Every result
-    goes to a fresh slot.
+    goes to a fresh slot, and that slot is the circle's only name.
 
     Each node's two neighbours are a 2-list that a saddle rewires in place,
-    and a circle is found by walking it (previous node, current node), so a
-    build visits each circle once at the start and then only what a saddle
-    changes: a merge relabels the smaller of its two circles into the larger
-    (union by size), and a split walks its two halves.
+    and one walk (previous node, current node) writes a slot on every node
+    of one circle.  A saddle walks only the circles it creates, at most N
+    nodes, so a product's n contractions on 4n nodes cost O(n^2).
 
     Returns (ops, slot_of): ops is a list of ("m", s1, s2, dst) /
     ("s", src, d1, d2) for `_execute`, where d1 holds the half through p;
@@ -121,26 +120,21 @@ def _surgery_schedule(arcs, saddles):
     for x, y in arcs:
         adj[x].append(y)
         adj[y].append(x)
-    circle_of = [-1] * len(adj)  # node -> circle id
+    slot_of = [-1] * len(adj)
 
-    def walk(start: int, c: int) -> list[int]:
-        """The nodes of the circle through start, now labeled circle c."""
-        circle_of[start] = c
-        nodes = [start]
+    def walk(start: int, slot: int) -> None:
+        slot_of[start] = slot
         prev, cur = start, adj[start][0]
         while cur != start:
-            circle_of[cur] = c
-            nodes.append(cur)
+            slot_of[cur] = slot
             a, b = adj[cur]
             prev, cur = cur, (b if a == prev else a)
-        return nodes
 
-    members: list[list[int]] = []  # circle id -> its nodes
+    slots = 0
     for x in range(len(adj)):
-        if circle_of[x] < 0:
-            members.append(walk(x, len(members)))
-    slot = list(range(len(members)))  # circle id -> slot
-    slots = len(members)
+        if slot_of[x] < 0:
+            walk(x, slots)
+            slots += 1
     ops: list[tuple] = []
     for p, q, r, s in saddles:
         # the arcs (p, q) and (r, s) become (p, r) and (q, s)
@@ -152,29 +146,18 @@ def _surgery_schedule(arcs, saddles):
         a[a.index(s)] = p
         a = adj[s]
         a[a.index(r)] = q
-        cp, cr = circle_of[p], circle_of[r]
-        if cp != cr:
-            ops.append(("m", slot[cp], slot[cr], slots))
-            if len(members[cp]) < len(members[cr]):
-                cp, cr = cr, cp
-            for y in members[cr]:
-                circle_of[y] = cp
-            members[cp] += members[cr]
-            members[cr] = []
-            slot[cp] = slots
+        if slot_of[p] != slot_of[r]:
+            ops.append(("m", slot_of[p], slot_of[r], slots))
+            walk(p, slots)
             slots += 1
         else:
-            half = walk(p, cp)
-            # the halves share out the old circle's nodes, so q lies on p's
-            # half exactly when that half is the whole circle
-            assert len(half) < len(members[cp]), "surgery on one circle must split it in two"
-            ops.append(("s", slot[cp], slots, slots + 1))
-            members[cp] = half
-            members.append(walk(q, len(members)))
-            slot[cp] = slots
-            slot.append(slots + 1)
+            ops.append(("s", slot_of[p], slots, slots + 1))
+            walk(p, slots)
+            walk(q, slots + 1)
+            # had q stayed on p's circle, its walk would have renamed p
+            assert slot_of[p] == slots, "surgery on one circle must split it in two"
             slots += 2
-    return ops, [slot[c] for c in circle_of]
+    return ops, slot_of
 
 
 _MULT_SCHEDULE_MAXSIZE = 1 << 13

@@ -125,7 +125,7 @@ def cmd_oracle(args) -> int:
         H = cube_homology(diagram, coeffs)
     record = {
         "link": link,
-        "pd": format_pd(diagram).strip().split("\n") if diagram.crossings or diagram.free_loops else [],
+        "pd": format_pd(diagram).splitlines(),
         "n_plus": diagram.n_plus,
         "n_minus": diagram.n_minus,
         "coefficients": coeffs,

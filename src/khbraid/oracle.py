@@ -108,8 +108,6 @@ def braid_to_pd(b) -> Diagram:
     object with .strands and .letters)."""
     letters = list(b.letters)
     m = len(letters)
-    if m == 0:
-        return Diagram((), free_loops=b.strands)
     ids = _closure_edges(b.strands, letters)
     crossings = []
     for r, (i, s) in enumerate(letters):
@@ -177,9 +175,10 @@ def parse_pd(text: str) -> Diagram:
     if plain:
         total = 2 * (len(plain) + len(crossings))
         for a, b, c, d in plain:
-            if (b - d) % total == 1:
+            # a and d run in at X+, a and b at X-; no edge runs into two ends
+            if (b - d) % total == 1 and a != d:
                 crossings.append(Crossing((a, b, c, d), 1))
-            elif (d - b) % total == 1:
+            elif (d - b) % total == 1 and a != b:
                 crossings.append(Crossing((a, b, c, d), -1))
             else:
                 raise ValueError(

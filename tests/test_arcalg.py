@@ -131,6 +131,18 @@ def product_in_order(b, a, order):
     return run_schedule(b, a, circles(u, v).c, ops, finals)
 
 
+def component(nbr, start):
+    """The nodes joined to start, by a depth-first search over nbr."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in nbr[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def reference_schedule(arcs, saddles):
     """`_surgery_schedule` recomputed the plain way: after every saddle, the
     circle through p (and through q, on a split) is found again by a
@@ -139,22 +151,11 @@ def reference_schedule(arcs, saddles):
     for x, y in arcs:
         nbr.setdefault(x, []).append(y)
         nbr.setdefault(y, []).append(x)
-
-    def component(start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for y in nbr[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
     slot_of = {}
     slots = 0
     for x in sorted(nbr):
         if x not in slot_of:
-            slot_of.update(dict.fromkeys(component(x), slots))
+            slot_of.update(dict.fromkeys(component(nbr, x), slots))
             slots += 1
     ops = []
     for p, q, r, s in saddles:
@@ -164,13 +165,13 @@ def reference_schedule(arcs, saddles):
         for x, y in ((p, r), (q, s)):
             nbr[x].append(y)
             nbr[y].append(x)
-        halves = [component(p)]
+        halves = [component(nbr, p)]
         if slot_of[p] != slot_of[r]:
             ops.append(("m", slot_of[p], slot_of[r], slots))
         else:
             assert q not in halves[0], "surgery on one circle must split it in two"
             ops.append(("s", slot_of[p], slots, slots + 1))
-            halves.append(component(q))
+            halves.append(component(nbr, q))
         for half in halves:
             slot_of.update(dict.fromkeys(half, slots))
             slots += 1
@@ -183,6 +184,39 @@ def assert_same_schedule(arcs, saddles):
     assert ops == ref_ops, (arcs, saddles)
     assert slot_of == [ref_slot_of[x] for x in range(len(arcs))], (arcs, saddles)
     return ops, slot_of
+
+
+def random_saddle_run(rng, nodes, most):
+    """The union of two random perfect matchings on ``nodes`` nodes, as arcs,
+    and a run of up to ``most`` saddles, each on two node-disjoint arcs the
+    diagram holds at that point.  A saddle on one circle is oriented so that
+    it splits it, as the reference builder requires."""
+    arcs = []
+    for _ in range(2):
+        order = rng.sample(range(nodes), nodes)
+        arcs += [(order[k], order[k + 1]) for k in range(0, nodes, 2)]
+    nbr = {x: [] for x in range(nodes)}
+    for x, y in arcs:
+        nbr[x].append(y)
+        nbr[y].append(x)
+    saddles = []
+    for _ in range(rng.randint(1, most)):
+        p, r = rng.sample(range(nodes), 2)
+        q, s = rng.choice(nbr[p]), rng.choice(nbr[r])
+        if len({p, q, r, s}) < 4:
+            continue
+        for x, y in ((p, q), (r, s)):
+            nbr[x].remove(y)
+            nbr[y].remove(x)
+        # on one circle, the path left through p ends at r or s, and the new
+        # arc (p, r) splits the circle only if it closes that path
+        if s in component(nbr, p):
+            r, s = s, r
+        for x, y in ((p, r), (q, s)):
+            nbr[x].append(y)
+            nbr[y].append(x)
+        saddles.append((p, q, r, s))
+    return arcs, saddles
 
 
 def test_surgery_schedule_matches_the_reference_builder():
@@ -203,6 +237,10 @@ def test_surgery_schedule_matches_the_reference_builder():
         for a, b, i in saddles:
             ops, _slot_of = assert_same_schedule(*cupcap_saddle_surgery(a, b, i))
             kinds.update(op[0] for op in ops)
+    # random unions of circles, and runs of saddles longer than a product's
+    for _ in range(300):
+        ops, _slot_of = assert_same_schedule(*random_saddle_run(rng, 2 * rng.randint(2, 20), 30))
+        kinds.update(op[0] for op in ops)
     assert kinds == {"m", "s"}
 
 

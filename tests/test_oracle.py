@@ -306,6 +306,12 @@ def test_pd_one_crossing_kinks_are_unknots():
     for text in ("X+(1,2,2,1)", "X-(1,1,2,2)"):
         with pytest.raises(ValueError):
             parse_pd(text)
+    # a plain kink is signed by which of its ends run in: a and d at X+, a
+    # and b at X-; mod 2 both edge-numbering residues read 1
+    for text, sign in (("X(1,2,2,1)", -1), ("X(2,1,1,2)", -1), ("X(1,1,2,2)", 1), ("X(2,2,1,1)", 1)):
+        d = parse_pd(text)
+        assert [x.sign for x in d.crossings] == [sign], text
+        assert cube_homology(d).entries == {(0, -1): (1, ()), (0, 1): (1, ())}, text
 
 
 def test_f2_rank_at_least_q_rank():
