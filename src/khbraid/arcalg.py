@@ -12,12 +12,12 @@ basis products.  `_surgery_schedule` is the one builder of such schedules:
 it follows the circles of a diagram through a run of saddles, here the
 contractions of v's arcs and in `khbraid.tangle` the single saddle of the
 cup∘cap functor, naming each circle by the slot it lives in and walking
-only the circles a saddle creates; `_execute` runs every schedule on
-labelings.  The product of two basis labelings is computed by running the
-schedule on that one pair the first time it is asked for, and read from
-the table after that; a product of combinations adds up table entries (`_add_products`,
-which `multiply`, `khbraid.homalg`'s `compose` and `eliminate`, and the scan of all
-basis products `_basis_products` call).  The scan is the one loop behind arc-dump's
+only the circles a saddle creates.  Both kinds have one shape and one
+table reader, `_add_products`, which `multiply`, `khbraid.homalg`'s `compose`
+and `eliminate`, `khbraid.tangle`'s saddle and the scan of all basis products
+`_basis_products` call: it runs `_execute` on a pair of basis labelings (a
+labeling, for a saddle) the first time it is asked for and reads the table
+after that, adding up table entries.  The scan is the one loop behind arc-dump's
 `multiplication_table` and `verify_positivity`.  The cache holds at
 most ``_MULT_SCHEDULE_MAXSIZE`` triples, least recently used first out,
 and each triple's table at most 2^(c(u,v) + c(v,w)) products.
@@ -218,12 +218,13 @@ def _add_products(
     offset: int = 0,
 ) -> None:
     """Add k * (b*a) into acc, for a in (u, v) and b in (v, w) given by
-    their {mask: coeff} terms and ``schedule`` = _mult_schedule(u, v, w).
-    A product mask m adds under the key offset | m: offset is 0, or in
-    `khbraid.homalg.compose` an entry's index above bit 32.
+    their {mask: coeff} terms and ``schedule`` = _mult_schedule(u, v, w),
+    or k * the saddle image of a for `khbraid.tangle._saddle_schedule` and
+    b = {0: 1}.  A product mask m adds under the key offset | m: offset is
+    0, or in `khbraid.homalg.compose` an entry's index above bit 32.
 
-    The one reader of a schedule's basis-product table: a product missing
-    from it is computed by running the schedule on that pair, and stored.
+    The one reader of every surgery table: a product missing from it is
+    computed by running the schedule on that pair, and stored.
     """
     cb, ops, finals, table = schedule
     get = acc.get

@@ -44,7 +44,7 @@ def _braid_from_args(args) -> BraidWord:
 
 
 def _coeffs(args, default: str = "Z") -> str:
-    c = args.coeffs or os.environ.get("KH_COEFFS") or default
+    c = args.coeffs if args.coeffs is not None else os.environ.get("KH_COEFFS") or default
     try:
         coefficient_characteristic(c)
     except ValueError as e:
@@ -59,7 +59,7 @@ def emit(record: dict, path: str | None, table: bool = False) -> str:
         text = groups_table(record["groups"])
     else:
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if path and path != "-":
+    if path is not None and path != "-":
         try:
             fh = open(path, "w")
         except OSError as e:
@@ -104,7 +104,7 @@ def cmd_compute(args) -> int:
 
 def cmd_oracle(args) -> int:
     coeffs = _coeffs(args)
-    if args.pd:
+    if args.pd is not None:
         if args.n is not None:
             raise InputError("-n goes with --braid, not --pd")
         try:
@@ -173,7 +173,7 @@ def _diff_table(a: BigradedGroup, b: BigradedGroup) -> list[dict]:
 
 def _matching_of_size(text: str | None, n: int) -> str | None:
     """The notation of a matching of n arcs, or None for no restriction."""
-    if not text:
+    if text is None:
         return None
     w = parse_matching(text)
     if w.n != n:
@@ -187,7 +187,7 @@ def cmd_arc_dump(args) -> int:
     if args.n > 3:
         raise InputError("arc-dump emits the full multiplication table only for n <= 3")
     table = multiplication_table(args.n)
-    if args.source or args.target:
+    if args.source is not None or args.target is not None:
         # restrict to products landing in the block (source, target)
         try:
             src, tgt = (_matching_of_size(text, args.n) for text in (args.source, args.target))
@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
     else:
         _verify_strands(args.n, "positivity")
         report = verify_positivity(args.n)
-        if args.output and args.output != "-":
+        if args.output is not None and args.output != "-":
             emit(report, args.output)  # a path that cannot be written exits 2 before the verdict
         tail = "PASS" if report["ok"] else "FAIL"
         print(f"all structure constants >= 0: {tail}")

@@ -17,12 +17,11 @@ Frobenius pairing (label x feeds the 1-summand and vice versa), on the
 target side directly.  That saddle alone is the cap functor
 cap_i: H_n -> H_{n-1} (`cap_functor`), which closes braids.  The cup at
 (i, i+1) re-embeds its result: a strict algebra embedding with the new
-circle labeled 1.  One schedule per block, built by
-`arcalg._surgery_schedule` and run by `arcalg._execute` like a product's,
-serves both: it reads off in the block of the cap_apply images or, through
-the cup's remap, of the cupcap_through images, and carries the
-closed-circle labels in two extra high bits; like a product's, it keeps a
-table of the images of basis labelings.
+circle labeled 1.  One schedule per block and read-off, built by
+`arcalg._surgery_schedule` in a product schedule's shape, reads off in the
+block of the cap_apply images or, through the cup's remap, of the
+cupcap_through images, with the closed-circle labels in two extra high
+bits; `arcalg._add_products` reads its table as it reads a product's.
 
 Unit and counit are one map, `_adjunction_map`.  On a cup-containing
 summand it is the identity into the x-labeled summand (unit) or out of the
@@ -40,11 +39,10 @@ here checks what it builds; the twist's cone validates it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .planar import Matching, cap_apply, circles, cupcap_through
 from .planar import cup_insert  # kept: perfbench/tracer.py patches tangle.cup_insert
-from .arcalg import _execute, _surgery_schedule
+from .arcalg import _add_products, _surgery_schedule
 from .homalg import Complex, ProjSummand, cone
 from .homalg import is_chain_map  # kept: perfbench/tracer.py patches tangle.is_chain_map
 
@@ -72,22 +70,22 @@ def _cup_circle_map(i: int, u: Matching, v: Matching) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _saddle_schedule(a: Matching, b: Matching, i: int):
-    """The (i, i+1) saddle on C(a, b) as (ops, down, up, table).
+def _saddle_schedule(a: Matching, b: Matching, i: int, cup: bool):
+    """The (i, i+1) saddle on C(a, b) as a product schedule (0, ops,
+    finals, table), which `arcalg._add_products` reads with C(a, b)'s
+    labelings on the left and {0: 1} on the right.
 
-    Running ops on the labelings of C(a, b) by `_execute` and reading off
-    by down lands in C(cap_apply images of a, b): down[k] is the slot of
-    circle k there.  up is down under the cup's remap, for the
-    cupcap_through images; their new (i, i+1) circle reads a slot that no
-    op writes, so it stays labeled 1.  The last two finals carry the labels
-    of the circles closed off on the a and b side (an unwritten slot, so 0,
-    when that side closes none).  table starts empty and is filled by
-    `_transformed_components`, under mask << 1 | cup for read-off up or down.
+    finals reads off in C(cap_apply images of a, b), or with cup set in
+    C(cupcap_through images), where the new (i, i+1) circle reads a slot
+    that no op writes, placed by `_cup_circle_map`, so it stays labeled 1.
+    The last two finals carry the labels of the circles closed off on the
+    a and b side (an unwritten slot, so 0, when that side closes none).
 
     Cached and unbounded, but each schedule and table entry is made by one
-    functor entry: at most (2n-1)*C_n^2 schedules for each n reached, each
-    with at most 2^(c(a,b)+1) table entries of at most two parts (a saddle
-    merges two circles or splits one).  `cache_clear()` empties the tables.
+    functor entry: at most 2(2n-1)*C_n^2 schedules for each n reached, each
+    with at most 2^c(a,b) table entries of at most two (mask, coeff) pairs
+    (a saddle merges two circles or splits one).  `cache_clear()` empties
+    the tables.
     """
     # nodes 0..2n-1 are the points of a, 2n..4n-1 those of b; C(a, b) joins
     # each point to its copy, and the saddle cuts points i, i+1 apart
@@ -101,22 +99,17 @@ def _saddle_schedule(a: Matching, b: Matching, i: int):
     a_down, _ = cap_apply(i, a)
     b_down, _ = cap_apply(i, b)
     unshifted = lambda p: p if p < i else p + 2
-    down = [slot_of[B(unshifted(circ[0]))] for circ in circles(a_down, b_down).circles]
-    down.append(slot_of[B(i)] if (i, i + 1) in a.pairs else blank)
-    down.append(slot_of[T(i)] if (i, i + 1) in b.pairs else blank)
-    up = [blank] * (len(down) + 1)
-    for k, kk in enumerate(_cup_circle_map(i, a_down, b_down)):
-        up[kk] = down[k]
-    up[-2:] = down[-2:]
-    return ops, tuple(down), tuple(up), {}
+    finals = [slot_of[B(unshifted(circ[0]))] for circ in circles(a_down, b_down).circles]
+    if cup:  # circle k moves to place _cup_circle_map[k], and the new circle reads blank
+        up = dict(zip(_cup_circle_map(i, a_down, b_down), finals))
+        finals = [up.get(kk, blank) for kk in range(len(finals) + 1)]
+    finals.append(slot_of[B(i)] if (i, i + 1) in a.pairs else blank)
+    finals.append(slot_of[T(i)] if (i, i + 1) in b.pairs else blank)
+    return 0, ops, tuple(finals), {}
 
 
 # ---------------------------------------------------------------------------
 # the cap functor and the cup_i cap_i endofunctor
-
-
-# the nine (source label, target label) part keys, shared by every table part
-_PART_KEYS = {key: key for key in product((None, 0, 1), repeat=2)}
 
 
 def _transformed_components(
@@ -131,24 +124,21 @@ def _transformed_components(
     None.  Each part is the {mask: coeff} dict, with no zero coefficient,
     of a nonzero element of the block of the cupcap_through images of a and
     b, with the new (i,i+1) circle labeled 1, or with cup False of the
-    block of their cap_apply images.  By linearity it sums the table parts
-    of the terms' labelings; a labeling missing there is run once and split.
+    block of their cap_apply images.  `_add_products` sums the terms'
+    images from the schedule's table into one dict, which the two top bits
+    of each mask split.
     """
-    ops, down, up, table = _saddle_schedule(a, b, i)
-    finals = up if cup else down
-    c = len(finals) - 2
+    schedule = _saddle_schedule(a, b, i, cup)
+    c = len(schedule[2]) - 2
+    image: dict[int, int] = {}
+    _add_products(image, schedule, terms, {0: 1}, 1)
     closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
     comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
-    for mask, coeff in terms.items():
-        parts = table.get(mask << 1 | cup)
-        if parts is None:
-            parts = table[mask << 1 | cup] = tuple(
-                (_PART_KEYS[1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None],
-                 m & ((1 << c) - 1), x) for m, x in _execute({mask: 1}, ops, finals).items())
-        for key, m, x in parts:
-            part = comps.setdefault(key, {})
-            part[m] = part.get(m, 0) + coeff * x
-    return {key: kept for key, part in comps.items() if (kept := {m: x for m, x in part.items() if x})}
+    for m, x in image.items():
+        if x:
+            key = (1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None)
+            comps.setdefault(key, {})[m & ((1 << c) - 1)] = x
+    return comps
 
 
 def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> tuple[Complex, dict[int, list[list[int]]]]:

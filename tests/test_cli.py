@@ -195,6 +195,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         # -o into a directory that does not exist
         ("compute", "--braid", "n=2 1", "-o", str(tmp_path / "missing" / "x.json")),
         ("verify", "positivity", "-n", "2", "-o", str(tmp_path / "missing" / "y")),
+        # an empty option value is refused, not read as absent
+        ("compute", "--braid", "n=2 1", "-o", ""),
+        ("verify", "positivity", "-n", "1", "-o", ""),
+        ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", ""),
+        ("oracle", "--pd", ""),
+        ("arc-dump", "-n", "1", "--source", ""),
+        ("arc-dump", "-n", "1", "--target", ""),
         ("verify", "skein", "--braid", "1 1", "-n", "2", "--coeffs", "F4"),
         # more strands than the braid commands finish on, however given
         ("compute", "--braid", "n=99999999999999999999 1"),
@@ -296,13 +303,21 @@ def test_coefficients_are_ascii_digits_only(capsys, monkeypatch):
     # str.isdecimal() holds for any Unicode digit: F\u0662 is Arabic-Indic 2
     # and F\uff13 a fullwidth 3
     monkeypatch.delenv("KH_COEFFS", raising=False)
-    for coeffs in ("F\u0662", "F\uff13", "F0", "F03", "F+3", "F 3", "F3_"):
+    # an empty --coeffs is refused, not read as absent; an empty KH_COEFFS
+    # reads as unset
+    for coeffs in ("", "F\u0662", "F\uff13", "F0", "F03", "F+3", "F 3", "F3_"):
         rc, out, err = run(capsys, "compute", "--braid", "n=2 1 1 1", "--coeffs", coeffs)
         assert rc == 2 and out == "" and "error:" in err, coeffs
+        if not coeffs:
+            continue
         monkeypatch.setenv("KH_COEFFS", coeffs)
         rc, out, err = run(capsys, "compute", "--braid", "n=2 1 1 1")
         assert rc == 2 and out == "" and "error:" in err, coeffs
         monkeypatch.delenv("KH_COEFFS")
+    monkeypatch.setenv("KH_COEFFS", "")
+    rc, out, _ = run(capsys, "compute", "--braid", "n=2 1 1 1")
+    assert rc == 0 and json.loads(out)["coefficients"] == "Z"
+    monkeypatch.delenv("KH_COEFFS")
     for coeffs in ("F2", "F3"):
         rc, out, _ = run(capsys, "compute", "--braid", "n=2 1 1 1", "--coeffs", coeffs)
         assert rc == 0 and json.loads(out)["coefficients"] == coeffs

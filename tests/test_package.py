@@ -31,3 +31,25 @@ def test_every_module_level_import_in_src_is_used():
                     if name not in read and "# kept: perfbench/tracer.py patches" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno} {name}")
     assert not unused
+
+
+def test_execute_is_called_only_by_the_one_table_reader():
+    # checked on the AST: every surgery schedule, a product's or a saddle's,
+    # is run by `arcalg._add_products`, which keeps its table, so a second
+    # table format or reader beside it cannot come back unnoticed
+    src = Path(khbraid.__file__).parent
+    uses = []
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "_execute":
+                uses.append((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert uses == [("arcalg", "_add_products")]

@@ -203,8 +203,7 @@ def direct_components(i, a, b, terms, cup):
     """The reference for `_transformed_components`: run the saddle schedule
     on the whole element, then split the result by the closed-circle bits.
     Also returns how many split terms summed to zero."""
-    ops, down, up, _table = tangle._saddle_schedule(a, b, i)
-    finals = up if cup else down
+    _, ops, finals, _table = tangle._saddle_schedule(a, b, i, cup)
     c = len(finals) - 2
     comps, zeros = {}, 0
     for m, coeff in _execute(dict(terms), ops, finals).items():
@@ -214,6 +213,31 @@ def direct_components(i, a, b, terms, cup):
             comps.setdefault((u, v), {})[m & ((1 << c) - 1)] = coeff
         zeros += not coeff
     return comps, zeros
+
+
+def test_cup_readoff_is_the_cup_of_the_cap_readoff():
+    # each basis labeling of every (a, b, i) for n <= 3 and a seeded sample
+    # at n = 4: the cup read-off has the cap read-off's parts, each the cup
+    # embedding of its cap part, so the new circle's blank slot is placed
+    # where the cup-inserted diagram puts it
+    rng = random.Random(35)
+    cases = [(a, b, i) for n in (1, 2, 3) for a, b in itertools.product(enumerate_matchings(n), repeat=2)
+             for i in range(1, 2 * n)]
+    ms = enumerate_matchings(4)
+    cases += [(rng.choice(ms), rng.choice(ms), rng.randint(1, 7)) for _ in range(60)]
+    parts = 0
+    for a, b, i in cases:
+        (a_down, _), (b_down, _) = cap_apply(i, a), cap_apply(i, b)
+        a_up, b_up = cupcap_through(i, a)[0], cupcap_through(i, b)[0]
+        for mask in range(1 << circles(a, b).c):
+            cap = _transformed_components(i, a, b, {mask: 1}, False)
+            cup = _transformed_components(i, a, b, {mask: 1}, True)
+            assert cup.keys() == cap.keys(), (a, b, i, mask)
+            for key, part in cap.items():
+                want = cup_entry(i, ArcCombination(a_down, b_down, part))
+                assert ArcCombination(a_up, b_up, cup[key]) == want, (a, b, i, mask, key)
+                parts += 1
+    assert parts == 1058
 
 
 def _cancelling_element(rng, i, a, b):
@@ -234,8 +258,8 @@ def _cancelling_element(rng, i, a, b):
 def test_saddle_table_matches_a_direct_run():
     # every (a, b, i) for n <= 3 and a seeded sample at n = 4, on multi-term
     # elements, some of whose parts cancel; from cold tables, cup and cap
-    # read-offs alternate on each schedule, so a table that ignored the
-    # read-off would hand one the other's parts
+    # read-offs alternate on each block, so a schedule or table that ignored
+    # the read-off would hand one the other's parts
     rng = random.Random(20)
     cases = [(a, b, i) for n in (1, 2, 3) for a, b in itertools.product(enumerate_matchings(n), repeat=2)
              for i in range(1, 2 * n)]
