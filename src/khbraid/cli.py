@@ -63,7 +63,7 @@ def emit(record: dict, path: str | None, table: bool = False) -> str:
         try:
             fh = open(path, "w")
         except OSError as e:
-            raise InputError(f"cannot write {path}: {e.strerror}") from e
+            raise InputError(f"cannot write {path!r}: {e.strerror}") from e
         with fh:
             fh.write(text)
     else:
@@ -115,7 +115,9 @@ def cmd_oracle(args) -> int:
                     text = fh.read()
             diagram = parse_pd(text)
             H = cube_homology(diagram, coeffs)  # rejects a non-planar code
-        except (OSError, ValueError) as e:
+        except OSError as e:
+            raise InputError(f"cannot read {args.pd!r}: {e.strerror}") from e
+        except ValueError as e:
             raise InputError(str(e)) from e
         link = "pd"
     else:

@@ -11,24 +11,26 @@ counit of the cup/cap adjunction:
 On a summand P_a the endofunctor cup_i cap_i is P_{a'} for the resurgered
 matching a' when a does not contain the arc (i, i+1), and P_a{+1} (+)
 P_a{-1} when it does (the closed circle becomes a V factor, labels 1, x).
+An image is named by its source summand's first flat index plus an offset:
+0 for the only or the label-1 image {+1}, 1 for the label-x image {-1}.
 Morphisms transform by a single saddle surgery at (i, i+1) on their circle
-diagrams; closed-circle labels on the source side select the summand by the
-Frobenius pairing (label x feeds the 1-summand and vice versa), on the
-target side directly.  That saddle alone is the cap functor
-cap_i: H_n -> H_{n-1} (`cap_functor`), which closes braids.  The cup at
-(i, i+1) re-embeds its result: a strict algebra embedding with the new
-circle labeled 1.  One schedule per block and read-off, built by
-`arcalg._surgery_schedule` in a product schedule's shape, reads off in the
-block of the cap_apply images or, through the cup's remap, of the
-cupcap_through images, with the closed-circle labels in two extra high
-bits; `arcalg._add_products` reads its table as it reads a product's.
+diagrams; a closed circle's label is its offset on the target side and, by
+the Frobenius pairing, the other offset on the source.  That saddle alone
+is the cap functor cap_i: H_n -> H_{n-1} (`cap_functor`), which closes
+braids.  The cup at (i, i+1) re-embeds its result: a strict algebra
+embedding with the new circle labeled 1.  One schedule per block and
+read-off, built by `arcalg._surgery_schedule` in a product schedule's
+shape, reads off in the block of the cap_apply images or, through the cup's
+remap, of the cupcap_through images, with the closed-circle labels in two
+extra high bits; `arcalg._add_products` reads its table as it reads a
+product's.
 
 Unit and counit are one map, `_adjunction_map`.  On a cup-containing
-summand it is the identity into the x-labeled summand (unit) or out of the
-1-labeled summand (counit), plus multiplication with the degree-2 center
-element v_i into or out of the other summand; on other summands it is the
-minimal-degree generator of the codimension-one block.  All coefficients
-are +1.  `cupcap_functor` applies their grading shift, {+1} or {-1}.
+summand it is the identity into image offset 1 (unit) or out of offset 0
+(counit), plus multiplication with the degree-2 center element v_i into or
+out of the other offset; on other summands it is the minimal-degree
+generator of the codimension-one block.  All coefficients are +1.
+`cupcap_functor` applies their grading shift, {+1} or {-1}.
 
 A differential or a chain map f_h is an entry dict {(r, c): {mask: coeff}}
 between the summands of its degrees (`homalg`); an entry's summands fix its
@@ -113,71 +115,64 @@ def _saddle_schedule(a: Matching, b: Matching, i: int, cup: bool):
 
 
 def _transformed_components(
-    i: int, a: Matching, b: Matching, terms: dict[int, int], cup: bool = True
-) -> dict[tuple[int | None, int | None], dict[int, int]]:
+    i: int, a: Matching, b: Matching, terms: dict[int, int], cup: bool
+) -> dict[tuple[int, int], dict[int, int]]:
     """Saddle transform of the element of block (a, b) with these terms,
-    split into (source label, target label) parts.
+    split into parts keyed by (source offset, target offset).
 
-    The source circle label p addresses the summand with the complementary
-    label (Frobenius pairing), so components are keyed by u = 1 - p there;
-    the target label keys directly, and a side that closes no circle keys
-    None.  Each part is the {mask: coeff} dict, with no zero coefficient,
-    of a nonzero element of the block of the cupcap_through images of a and
-    b, with the new (i,i+1) circle labeled 1, or with cup False of the
-    block of their cap_apply images.  `_add_products` sums the terms'
-    images from the schedule's table into one dict, which the two top bits
-    of each mask split.
+    The target offset is b's closed-circle bit; by the Frobenius pairing a's
+    label addresses the image of the other label, so the source offset is
+    a's bit XOR whether a closes a circle (a side that closes none reads 0
+    from a blank slot).  Each part is the {mask: coeff} dict, with no zero
+    coefficient, of a nonzero element of the block of the cupcap_through
+    images of a and b, with the new (i,i+1) circle labeled 1, or with cup
+    False of the block of their cap_apply images.  `_add_products` sums the
+    terms' images from the schedule's table into one dict, which the two top
+    bits of each mask split.
     """
     schedule = _saddle_schedule(a, b, i, cup)
     c = len(schedule[2]) - 2
     image: dict[int, int] = {}
     _add_products(image, schedule, terms, {0: 1}, 1)
-    closes_a, closes_b = (i, i + 1) in a.pairs, (i, i + 1) in b.pairs
-    comps: dict[tuple[int | None, int | None], dict[int, int]] = {}
+    closes_a = (i, i + 1) in a.pairs
+    comps: dict[tuple[int, int], dict[int, int]] = {}
     for m, x in image.items():
         if x:
-            key = (1 - (m >> c & 1) if closes_a else None, m >> (c + 1) & 1 if closes_b else None)
-            comps.setdefault(key, {})[m & ((1 << c) - 1)] = x
+            comps.setdefault(((m >> c & 1) ^ closes_a, m >> (c + 1)), {})[m & ((1 << c) - 1)] = x
     return comps
 
 
-def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """(cup_i cap_i C){q}, or (cap_i C){q} when cup is False, and the layout
-    of image summands: layout[h][k] lists the flat indices of the images of
-    summand k of C^h (in label order 1, x when the cap closes a circle)."""
+def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> Complex:
+    """(cup_i cap_i C){q}, or (cap_i C){q} when cup is False; summand k of
+    C^h has its images at first[h][k] plus their offset."""
     terms: dict[int, tuple[ProjSummand, ...]] = {}
-    images: dict[int, list[dict[int | None, int]]] = {}  # label -> flat index
+    first: dict[int, list[int]] = {}
     for h, summands in C.terms.items():
-        flat: list[ProjSummand] = []
-        images[h] = []
+        flat, first[h] = [], []
         for s in summands:
             image, closed = cupcap_through(i, s.matching) if cup else cap_apply(i, s.matching)
             t = s.qshift + q
-            # the closed circle's label 1 shifts up, label x down
-            shifts = ((t + 1, 0), (t - 1, 1)) if closed else ((t, None),)
-            images[h].append({u: len(flat) + k for k, (_t, u) in enumerate(shifts)})
-            flat.extend(ProjSummand(image, shift) for shift, _u in shifts)
+            first[h].append(len(flat))
+            flat.extend(ProjSummand(image, shift) for shift in ((t + 1, t - 1) if closed else (t,)))
         terms[h] = tuple(flat)
     diffs: dict[int, dict] = {}
     for h, d in C.diffs.items():
         entries = diffs[h] = {}
         for (r, c), g in d.items():
-            src, tgt = images[h][c], images[h + 1][r]
             a, b = C.terms[h][c].matching, C.terms[h + 1][r].matching
             for (u, v), gg in _transformed_components(i, a, b, g, cup).items():
-                entries[(tgt[v], src[u])] = gg
-    layout = {h: [list(img.values()) for img in imgs] for h, imgs in images.items()}
-    return Complex(terms, diffs), layout
+                entries[(first[h + 1][r] + v, first[h][c] + u)] = gg
+    return Complex(terms, diffs)
 
 
-def cupcap_functor(i: int, C: Complex, q: int) -> tuple[Complex, dict[int, list[list[int]]]]:
-    """(cup_i cap_i C){q} and its layout (`_saddle_functor`)."""
+def cupcap_functor(i: int, C: Complex, q: int) -> Complex:
+    """(cup_i cap_i C){q} (`_saddle_functor`)."""
     return _saddle_functor(i, C, q, True)
 
 
 def cap_functor(i: int, C: Complex) -> Complex:
     """cap_i C, from H_n to H_{n-1}: Hom(P_{cup_i a}, C) = Hom(P_a, cap_i C)."""
-    return _saddle_functor(i, C, 0, False)[0]
+    return _saddle_functor(i, C, 0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +181,28 @@ def cap_functor(i: int, C: Complex) -> Complex:
 
 def _adjunction_map(i: int, sign: int, C: Complex) -> tuple[dict[int, dict], Complex]:
     """The unit C -> (cup_i cap_i C){1} for sign +1, the counit
-    (cup_i cap_i C){-1} -> C for sign -1, and that functor image.  f[h] is
-    the entry dict from the map's source's terms[h] to its target's.
+    (cup_i cap_i C){-1} -> C for sign -1, and that functor image D, which
+    lists each summand's images in turn.  f[h] is the entry dict from the
+    map's source's terms[h] to its target's.
 
     Unchecked: the d^2 check of its cone is the one chain-map check per
     letter, so a bad map raises ValueError from `cone`.
     """
-    D, layout = cupcap_functor(i, C, sign)
+    D = cupcap_functor(i, C, sign)
     f: dict[int, dict] = {}
     for h, summands in C.terms.items():
         entries = f[h] = {}
+        first = 0  # the index in D^h of summand k's offset 0
         for k, s in enumerate(summands):
-            one, *x = layout[h][k]  # the 1 and x summands, or the one image
-            if x:  # the identity into x (unit) or out of 1 (counit), v_i on the other
-                ident, vi = (x[0], one) if sign == 1 else (one, x[0])
-                a = s.matching  # v_i e_a is x on the circle of C(a, a) through i
+            a = s.matching  # v_i e_a is x on the circle of C(a, a) through i
+            if (i, i + 1) in a.pairs:  # the identity into offset 1 (unit) or out of 0 (counit), v_i on the other
+                ident, vi = (first + 1, first) if sign == 1 else (first, first + 1)
                 pairs = ((ident, {0: 1}), (vi, {1 << circles(a, a).circle_of(i): 1}))
             else:
-                pairs = ((one, {0: 1}),)  # the minimal generator
+                pairs = ((first, {0: 1}),)  # the minimal generator
             for pos, g in pairs:
                 entries[(pos, k) if sign == 1 else (k, pos)] = g
+            first += len(pairs)
     return f, D
 
 
@@ -243,5 +240,5 @@ def twist(i: int, sign: int, C: Complex) -> Complex:
         f, D = counit_map(i, C)
         return cone(f, D, C)
     if sign == 0:
-        return cupcap_functor(i, C, 0)[0]
+        return cupcap_functor(i, C, 0)
     raise ValueError("sign must be +1, -1 or 0")

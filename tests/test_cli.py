@@ -250,6 +250,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert rc == 0
 
 
+def test_unreadable_and_unwritable_paths_are_quoted(capsys, tmp_path):
+    # an -o path that cannot be written, or a --pd path that cannot be read,
+    # is named by its repr, so an empty one still shows, with the OS reason
+    missing, here = str(tmp_path / "missing" / "x.json"), str(tmp_path)
+    gone = "No such file or directory"
+    for argv, want in (
+        (("compute", "--braid", "n=2 1", "-o", ""), f"cannot write '': {gone}"),
+        (("compute", "--braid", "n=2 1", "-o", missing), f"cannot write {missing!r}: {gone}"),
+        (("oracle", "--pd", ""), f"cannot read '': {gone}"),
+        (("oracle", "--pd", missing), f"cannot read {missing!r}: {gone}"),
+        (("oracle", "--pd", here), f"cannot read {here!r}: Is a directory"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {want}\n"), argv
+
+
 def test_integer_tokens_are_ascii_digits_only(capsys, tmp_path):
     # int() would read "1_1" as 11 and Arabic-Indic digits as 1, 2, ...
     pd = {"underscore": "X+(1_0,2,3,4)", "arabic": "X+(١,2,3,4)"}

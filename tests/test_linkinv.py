@@ -555,6 +555,28 @@ def test_torus_knot_tables():
     }
 
 
+def torus(p, q):
+    """T(p, q) = (sigma_1 ... sigma_{p-1})^q on p strands, a positive word."""
+    return BraidWord.from_ints(p, list(range(1, p)) * q)
+
+
+def test_torus_knots_on_swapped_strand_counts():
+    # T(p, q) and T(q, p) are one knot, scanned on p and on q strands: the
+    # cup∘cap's two images and the Frobenius flip of their source labels
+    # run on 3-5 strands.  A positive braid knot has Kh^{i,*} = 0 for i < 0
+    # (a positive diagram), Kh^{1,*} = 0 (Stosic, arXiv:math/0511529), and
+    # Kh^{0,*} = Z at j = s +- 1 with s = w - n + 1 (Rasmussen, s = 2g)
+    for p, q in ((3, 4), (3, 5), (4, 5)):
+        pair = [torus(p, q), torus(q, p)]
+        assert [_simplified(b.strands, b.letters)[0] for b in pair] == [p, q]
+        H, H_swapped = (groups(b) for b in pair)
+        assert H == H_swapped, (p, q)
+        for b in pair:
+            s = b.writhe - b.strands + 1
+            assert not [k for k in H.entries if k[0] < 0 or k[0] == 1], b.format()
+            assert {j: v for (i, j), v in H.entries.items() if i == 0} == {s - 1: (1, ()), s + 1: (1, ())}
+
+
 def test_result_json_schema():
     res = compute(BraidWord.from_ints(2, [1]))
     rec = res.to_json()
@@ -670,7 +692,7 @@ def unscanned_resolution(b, c):
     resolves c at shift 0, the rest twist, and the closure is along
     horseshoe(n); graded by the letters other than c."""
     C = _twisted(b.letters[:c], Complex.single(horseshoe(b.strands)))
-    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(b.letters[c][0], C, 0)[0]))
+    C = _twisted(b.letters[c + 1 :], eliminate(cupcap_functor(b.letters[c][0], C, 0)))
     return closed_groups(b.without_letter(c), C)
 
 
