@@ -111,12 +111,14 @@ class Complex:
         self.diffs = {h: d for h, d in diffs.items() if d and h in self.terms and h + 1 in self.terms}
 
     def validate(self):
-        """Every entry nonempty and in its block with qdeg 0, d^2 = 0; else ValueError."""
+        """Every entry nonempty, in range and in its block with qdeg 0, d^2 = 0; else ValueError."""
         for h, d in self.diffs.items():
             src, tgt = self.terms[h], self.terms[h + 1]
             for (r, c), terms in d.items():
                 if not terms:
                     raise ValueError(f"differential at {h}: entry ({r},{c}) is empty")
+                if not (0 <= r < len(tgt) and 0 <= c < len(src)):
+                    raise ValueError(f"differential at {h}: entry ({r},{c}) is out of range")
                 s, t = src[c], tgt[r]
                 k = circles(s.matching, t.matching).c
                 want = s.matching.n + s.qshift - t.qshift
@@ -543,10 +545,8 @@ class BigradedGroup:
         return BigradedGroup({(i + di, j + dj): v for (i, j), v in self.entries.items()})
 
     def to_json(self) -> list[dict]:
-        return [
-            {"i": i, "j": j, "rank": r, "torsion": list(t)}
-            for (i, j), (r, t) in sorted(self.entries.items())
-        ]
+        items = sorted(self.entries.items())
+        return [{"i": i, "j": j, "rank": r, "torsion": list(t)} for (i, j), (r, t) in items]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "BigradedGroup":

@@ -34,8 +34,9 @@ generator of the codimension-one block.  All coefficients are +1.
 
 A differential or a chain map f_h is an entry dict {(r, c): {mask: coeff}}
 between the summands of its degrees (`homalg`); an entry's summands fix its
-block, so the identity and the minimal generator are both {0: 1}.  Nothing
-here checks what it builds; the twist's cone validates it.
+block, so the identity and the minimal generator are both {0: 1}.  A functor
+call transforms each distinct (a, b, entry) once; equal images share one dict,
+as no code mutates an entry in place.  Nothing here checks; the cone does.
 """
 
 from __future__ import annotations
@@ -91,15 +92,13 @@ def _saddle_schedule(a: Matching, b: Matching, i: int, cup: bool):
     """
     # nodes 0..2n-1 are the points of a, 2n..4n-1 those of b; C(a, b) joins
     # each point to its copy, and the saddle cuts points i, i+1 apart
-    n = a.n
     B = lambda p: p - 1
-    T = lambda p: 2 * n + p - 1
+    T = lambda p: 2 * a.n + p - 1
     arcs = [(B(p), B(q)) for p, q in a.pairs] + [(T(p), T(q)) for p, q in b.pairs]
-    arcs += [(B(p), T(p)) for p in range(1, 2 * n + 1)]
+    arcs += [(B(p), T(p)) for p in range(1, 2 * a.n + 1)]
     ops, slot_of = _surgery_schedule(arcs, [(B(i), T(i), B(i + 1), T(i + 1))])
     blank = ops[0][-1] + 1  # one past the last slot the saddle writes
-    a_down, _ = cap_apply(i, a)
-    b_down, _ = cap_apply(i, b)
+    a_down, b_down = cap_apply(i, a)[0], cap_apply(i, b)[0]
     unshifted = lambda p: p if p < i else p + 2
     finals = [slot_of[B(unshifted(circ[0]))] for circ in circles(a_down, b_down).circles]
     if cup:  # circle k moves to place _cup_circle_map[k], and the new circle reads blank
@@ -144,7 +143,9 @@ def _transformed_components(
 
 def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> Complex:
     """(cup_i cap_i C){q}, or (cap_i C){q} when cup is False; summand k of
-    C^h has its images at first[h][k] plus their offset."""
+    C^h has its images at first[h][k] plus their offset.  Each distinct
+    (a, b, entry) is transformed once per call, and the entries with that
+    input share its part dicts: no code mutates an entry in place."""
     terms: dict[int, tuple[ProjSummand, ...]] = {}
     first: dict[int, list[int]] = {}
     for h, summands in C.terms.items():
@@ -156,11 +157,14 @@ def _saddle_functor(i: int, C: Complex, q: int, cup: bool) -> Complex:
             flat.extend(ProjSummand(image, shift) for shift in ((t + 1, t - 1) if closed else (t,)))
         terms[h] = tuple(flat)
     diffs: dict[int, dict] = {}
+    memo: dict[tuple, dict] = {}  # (a, b, entry) -> its parts, for this call only
     for h, d in C.diffs.items():
         entries = diffs[h] = {}
         for (r, c), g in d.items():
             a, b = C.terms[h][c].matching, C.terms[h + 1][r].matching
-            for (u, v), gg in _transformed_components(i, a, b, g, cup).items():
+            if (key := (a, b, tuple(g.items()))) not in memo:
+                memo[key] = _transformed_components(i, a, b, g, cup)
+            for (u, v), gg in memo[key].items():
                 entries[(first[h + 1][r] + v, first[h][c] + u)] = gg
     return Complex(terms, diffs)
 

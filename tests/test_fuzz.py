@@ -7,9 +7,14 @@ example database is written.  Besides the cube oracle, the referees are the
 link invariance of the homology: mirror, conjugation and Markov
 stabilisation.  `compute` drops cancelling pairs and lone end letters
 before it scans, so the cube and those two referees also check the scan of
-the word as given, with every letter and its offsets.
+the word as given, with every letter and its offsets.  A census checks both
+scans against the cube on every short word, one per conjugacy class that
+rotation and the flip sigma_i -> sigma_{n-i} give.
 """
 
+from itertools import product
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from khbraid.homalg import BigradedGroup, homology
@@ -88,3 +93,46 @@ def test_skein_resolution_equals_the_cube_at_every_crossing(b):
         Z, v = _infinity_homology(b, c, "Z")
         diagram, cube_v = braid_to_pd_resolved(b, c)
         assert v == cube_v and Z == cube_homology(diagram, "Z"), (b.format(), c)
+
+
+def census(n, max_len):
+    """One word of each class of the n-strand words of at most max_len
+    letters under rotation and the flip sigma_i -> sigma_{n-i} (both give
+    conjugate braids), the least of its class; and the number of words."""
+    letters = [(i, s) for i in range(1, n) for s in (1, -1)]
+    classes, words = [], 0
+    for L in range(max_len + 1):
+        for word in product(letters, repeat=L):
+            words += 1
+            flip = tuple((n - i, s) for i, s in word)
+            if word == min(w[k:] + w[:k] for w in (word, flip) for k in range(max(L, 1))):
+                classes.append(BraidWord(n, word))
+    return classes, words
+
+
+def assert_arc_equals_oracle_over_z(classes):
+    # compute shortens most short words first; the scan as given sees
+    # every letter, the empty word's unlink included
+    for b in classes:
+        H = cube_homology(braid_to_pd(b), "Z")
+        assert compute(b, "Z").bigraded == H, b.format()
+        assert as_given(b, "Z") == H, b.format()
+
+
+def test_arc_equals_oracle_on_every_short_three_strand_word():
+    # 1 365 words of up to 5 letters on 3 strands, in 163 classes
+    classes, words = census(3, 5)
+    assert (words, len(classes)) == (1365, 163)
+    assert_arc_equals_oracle_over_z(classes)
+
+
+@pytest.mark.slow
+def test_arc_equals_oracle_on_the_short_word_census():
+    # n = 3, L <= 6: 5 461 words; n = 4, L <= 4: 1 555; n = 5, L <= 3: 585;
+    # 7 601 words in 866 classes
+    counts = {}
+    for n, max_len in ((3, 6), (4, 4), (5, 3)):
+        classes, words = census(n, max_len)
+        counts[n] = (words, len(classes))
+        assert_arc_equals_oracle_over_z(classes)
+    assert counts == {3: (5461, 519), 4: (1555, 234), 5: (585, 113)}

@@ -878,6 +878,19 @@ def test_complex_checks_that_every_entry_lies_in_its_block():
     assert Complex({0: src, 1: tgt}, {0: {}}).diffs == {}
 
 
+@pytest.mark.parametrize(
+    "rc", [(1, 0), (0, 1), (-1, 0), (0, -1)], ids=["row_past_end", "column_past_end", "row_negative", "column_negative"]
+)
+def test_complex_checks_that_every_entry_lies_between_its_degrees_summands(rc):
+    # one summand on each side, and {0: 1} is a good entry at (0, 0): an
+    # index past the end is no summand, and a negative one must not wrap
+    # round to the last summand and be checked against that block
+    src, tgt = (ProjSummand(mixed(2), 0),), (ProjSummand(plait(2), 1),)
+    Complex({0: src, 1: tgt}, {0: {(0, 0): {0: 1}}}).validate()
+    with pytest.raises(ValueError, match="out of range"):
+        Complex({0: src, 1: tgt}, {0: {rc: {0: 1}}}).validate()
+
+
 def test_bigraded_group_json_roundtrip():
     H = BigradedGroup({(0, 1): (1, ()), (3, 7): (0, (2,))})
     assert BigradedGroup.from_json(H.to_json()) == H

@@ -577,6 +577,26 @@ def test_torus_knots_on_swapped_strand_counts():
             assert {j: v for (i, j), v in H.entries.items() if i == 0} == {s - 1: (1, ()), s + 1: (1, ())}
 
 
+def dual(H):
+    """Kh over Z of the mirror, from Kh: the free parts move to (-i, -j)
+    and the torsion to (1 - i, -j) (universal coefficients)."""
+    free = BigradedGroup({(-i, -j): (r, ()) for (i, j), (r, _t) in H.entries.items()})
+    return free + BigradedGroup({(1 - i, -j): (0, t) for (i, j), (_r, t) in H.entries.items()})
+
+
+def test_mirror_is_the_dual_over_z():
+    # the torus words scan units only and their mirrors counits only, on 3-4
+    # strands; the alternating A_k = (sigma_1 sigma_2^-1)^k scan both
+    words = [torus(3, 4), torus(3, 5), torus(4, 5)]
+    words += [BraidWord.from_ints(3, [1, -2] * k) for k in (3, 4, 5)]
+    torsion = 0
+    for b in words:
+        H = groups(b)
+        assert groups(mirror(b)) == dual(H), b.format()
+        torsion += sum(len(t) for _r, t in H.entries.values())
+    assert torsion == 97  # torsion factors of the six words, so both moves are checked
+
+
 def test_result_json_schema():
     res = compute(BraidWord.from_ints(2, [1]))
     rec = res.to_json()

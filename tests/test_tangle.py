@@ -18,18 +18,20 @@ from khbraid.planar import (
     cup_insert,
     cupcap_through,
     enumerate_matchings,
+    horseshoe,
     mixed,
     plait,
 )
 from khbraid.tangle import (
     _cup_circle_map,
     _transformed_components,
+    cap_functor,
     counit_map,
     cupcap_functor,
     twist,
     unit_map,
 )
-from khbraid.linkinv import idempotent_truncate, verify_braid_relations, verify_twist_inverse
+from khbraid.linkinv import _twisted, idempotent_truncate, verify_braid_relations, verify_twist_inverse
 from khbraid.tqft import mask_qdeg
 from test_arcalg import block_basis
 from test_homalg import entry, total_rank
@@ -278,6 +280,32 @@ def test_saddle_table_matches_a_direct_run():
                 assert _transformed_components(i, a, b, terms, cup) == want, (a, b, i, terms, cup)
                 zeros += z
     assert zeros == 138  # split terms that summed to zero
+
+
+@pytest.mark.parametrize("cup", [True, False], ids=["cupcap", "cap"])
+def test_each_distinct_entry_is_transformed_once_per_functor_call(monkeypatch, cup):
+    # the complex of (sigma_1 sigma_2^-1)^3 in H_3 has 66 entries with 29
+    # distinct (a, b, entry) inputs; one functor call transforms each input
+    # once, and the entries of one input share its part dicts.  A second
+    # call transforms them all again: nothing outlives the call
+    C = _twisted(((1, 1), (2, -1)) * 3, single(horseshoe(3)))
+    inputs = [(C.terms[h][c].matching, C.terms[h + 1][r].matching, tuple(g.items()))
+              for h, d in C.diffs.items() for (r, c), g in d.items()]
+    assert (len(inputs), len(set(inputs))) == (66, 29)
+    real, calls = tangle._transformed_components, []
+
+    def counted(i, a, b, terms, cup):
+        calls.append((a, b, tuple(terms.items())))
+        return real(i, a, b, terms, cup)
+
+    monkeypatch.setattr(tangle, "_transformed_components", counted)
+    functor = (lambda: cupcap_functor(2, C, 1)) if cup else (lambda: cap_functor(2, C))
+    D = functor()
+    assert len(calls) == len(set(calls)) and set(calls) == set(inputs)
+    parts = sum(len(real(2, a, b, dict(g), cup)) for a, b, g in set(inputs))
+    assert len({id(g) for d in D.diffs.values() for g in d.values()}) == parts
+    functor()
+    assert len(calls) == 2 * 29
 
 
 # ---------------------------------------------------------------------------
